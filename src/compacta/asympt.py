@@ -236,6 +236,8 @@ def fit_constant(k: int, family: str, n_max: int, order: int = 3) -> FitResult:
     Richardson-extrapolates in 1/n.  Warns when the last two extrapolants
     still differ by more than 1e-3 relatively.
     """
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
     data = singularity_data(k, family)
     ladder_ns = sorted({max(n_max >> j, 1) for j in range(5)})
     wanted = set(ladder_ns)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import asympt, dfinite, exhaustive, recurrences
@@ -29,8 +28,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact enumeration and asymptotics of compacted and "
         "relaxed binary trees (hash-consed DAGs) of bounded right height.",
     )
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for partitionable work (default 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compact", help="hash-cons a tree file into a DAG")
@@ -95,7 +92,7 @@ def _cmd_enumerate(args) -> int:
         print(exhaustive.count_relaxed_spine_product(args.n, args.max_right_height))
         return 0
     if args.count_only:
-        print(_count_compacted_partitioned(args))
+        print(exhaustive.brute_count(args.n, args.kind, args.max_right_height, args.budget))
         return 0
     stream = exhaustive.generate(f, args.budget)
     if args.emit:
@@ -109,26 +106,6 @@ def _cmd_enumerate(args) -> int:
     for dag in stream:
         print(dag_to_text(dag))
     return 0
-
-
-def _count_compacted_partitioned(args) -> int:
-    """Per-spine work shares no state, so spines partition across workers."""
-    from .compaction import is_compacted
-    from .exhaustive import current_budget, gen_spines, spine_assignments
-
-    estimate = exhaustive.count_relaxed_spine_product(args.n, args.max_right_height)
-    limit = current_budget(args.budget)
-    if estimate > limit:
-        raise BudgetExceededError(estimate, limit)
-
-    def count_one(spine):
-        return sum(1 for dag in spine_assignments(spine) if is_compacted(dag))
-
-    spines = gen_spines(args.n, args.max_right_height)
-    if args.threads <= 1:
-        return sum(count_one(s) for s in spines)
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        return sum(pool.map(count_one, spines))
 
 
 def _cmd_count(args) -> int:
@@ -241,14 +218,9 @@ def _cmd_selftest(args) -> int:
     check("spine product = relaxed table",
           [exhaustive.count_relaxed_spine_product(n) for n in range(10)] == rt.counts())
 
-    def brute_pair(n):
-        return (exhaustive.brute_count(n, "relaxed"),
-                exhaustive.brute_count(n, "compacted"))
-
-    with ThreadPoolExecutor(max_workers=max(args.threads, 1)) as pool:
-        brute = list(pool.map(brute_pair, range(6)))
-    check("brute force n<=5",
-          brute == [(rt.count(n), ct.count(n)) for n in range(6)])
+    brute = [(exhaustive.brute_count(n, "relaxed"), exhaustive.brute_count(n, "compacted"))
+             for n in range(6)]
+    check("brute force n<=5", brute == [(rt.count(n), ct.count(n)) for n in range(6)])
 
     strm_ok = True
     for fam in ("relaxed", "compacted"):

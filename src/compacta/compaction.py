@@ -6,18 +6,24 @@ compacted DAG: every edge to an already-seen subtree becomes a pointer to
 the subtree's first occurrence in post-order, so each distinct subtree is
 stored exactly once.
 
-Identifier numbering follows the classic value-numbering schedule: all
-subtrees of height h receive their ids before any subtree of height h+1,
-left to right within a height.  Id 0 is reserved for the empty tree, so an
-unlabeled leaf contributes no table row while a labeled leaf x produces the
-row ((x, 0, 0), uid).
+The pass is one post-order walk that keys each subtree by the integer
+triple (label, left value number, right value number).  A subtree's value
+number is the post-order index of its first occurrence, which is also its
+index in the DAG; the empty tree's is 0.  So the DAG comes out of the same
+walk as the value numbers.
 
-The DAG construction itself is independent of the id numbering: spine nodes
-sit at post-order first occurrences and pointer targets are post-order
-indices, so the result is a valid relaxed DAG.  For unlabeled input the DAG
-always passes ``is_compacted``; labeled leaves with distinct labels erase
-to structurally equal nodes, so the label-erased DAG of a labeled tree need
-not.
+Identifier numbering follows the classic value-numbering schedule: all
+subtrees of height h receive their ids before any subtree of height h+1, in
+order of first post-order occurrence within a height, which is a sort of the
+value numbers by (height, value number).  Id 0 is reserved for the empty
+tree, so an unlabeled leaf contributes no table row while a labeled leaf x
+produces the row ((x, 0, 0), uid).
+
+Spine nodes sit at post-order first occurrences and pointer targets are
+post-order indices, so the result is a valid relaxed DAG.  For unlabeled
+input the DAG always passes ``is_compacted``; labeled leaves with distinct
+labels erase to structurally equal nodes, so the label-erased DAG of a
+labeled tree need not.
 """
 
 from __future__ import annotations
@@ -53,89 +59,62 @@ class UidTable:
         return None
 
 
-def _is_nil(t: BinaryTree) -> bool:
-    # an unlabeled leaf plays the role of the empty tree (id 0)
-    return t.is_leaf and t.label is None
-
-
 def uid_compact(tree: BinaryTree) -> tuple[RelaxedDag, UidTable]:
     """Compact a full binary tree; returns (dag, identifier table)."""
-    # Phase 1: intern distinct subtrees bottom-up, recording height and the
-    # post-order time of the first occurrence.  Keys are built from child
-    # keys, so structural equality costs O(1) per node.
-    info: dict[tuple, tuple[int, int, str | None, tuple, tuple]] = {}
-    # key -> (height, first_seen, label, left_key, right_key)
-    order = 0
-    NIL = ("nil",)
-
-    def intern(t: BinaryTree) -> tuple:
-        nonlocal order
-        if _is_nil(t):
-            return NIL
-        if t.is_leaf:
-            lk = rk = NIL
-        else:
-            lk = intern(t.left)
-            rk = intern(t.right)
-        key = (t.label, lk, rk)
-        if key not in info:
-            hl = info[lk][0] if lk != NIL else -1
-            hr = info[rk][0] if rk != NIL else -1
-            order += 1
-            info[key] = (max(hl, hr) + 1, order, t.label, lk, rk)
-        return key
-
-    intern(tree)
-
-    uid: dict[tuple, int] = {NIL: 0}
-    rows = []
-    for key, (_h, _seen, label, lk, rk) in sorted(
-        info.items(), key=lambda kv: (kv[1][0], kv[1][1])
-    ):
-        uid[key] = len(rows) + 1
-        rows.append(((label, uid[lk], uid[rk]), uid[key]))
-    table = UidTable(tuple(rows))
-
-    # Phase 2: build the DAG of first occurrences in post-order.  first[key]
-    # holds the post-order index a subtree got at its first completion; the
-    # first nil visited becomes the unique leaf, later nils are pointers @0.
-    # Keys are recomputed bottom-up during this walk, so the pass is linear
-    # in the input size.  Inside a repeated subtree every descendant class
-    # was registered by the earlier occurrence, so the recursion never
-    # mutates state there.
-    first: dict[tuple, int] = {}
+    vn: dict[Triple, int] = {}  # (label, vn left, vn right) -> value number
+    heights = [-1]  # by value number; the empty tree has value number 0
     pointers: dict[tuple[int, str], int] = {}
-    completed = 0
+    # (value number, spine node) of each walked child whose parent is still
+    # open; the spine node is None unless this is the child's first occurrence
+    results: list[tuple[int, SpineTree | None]] = []
     leaf_taken = False
-
-    def build(t: BinaryTree):
-        """(key, spine subtree, target, slot-is-the-leaf) for one child slot."""
-        nonlocal completed, leaf_taken
-        if _is_nil(t):
-            took_leaf = not leaf_taken
-            leaf_taken = True
-            return NIL, None, 0, took_leaf
-        if t.is_leaf:
-            children = (LEAF, LEAF)  # labeled leaf: two empty child slots
+    stack = [] if tree.left is None and tree.label is None else [(tree, False, False)]
+    while stack:
+        node, expanded, owns_leaf = stack.pop()
+        left = node.left
+        if left is None:  # a labeled leaf has two empty children
+            left = right = LEAF
         else:
-            children = (t.left, t.right)
-        left = build(children[0])
-        right = build(children[1])
-        key = (t.label, left[0], right[0])
-        if key in first:
-            return key, None, first[key], False
-        completed += 1
-        index = completed
-        first[key] = index
-        node = SpineTree(left[1], right[1])
-        for side, (_, sub, target, took_leaf) in (("left", left), ("right", right)):
-            if sub is None and not took_leaf:
-                pointers[(index, side)] = target
-        return key, node, None, False
+            right = node.right
+        # an unlabeled leaf plays the role of the empty tree (value number 0)
+        left_nil = left.left is None and left.label is None
+        right_nil = right.left is None and right.label is None
+        if not expanded:
+            # the first empty slot the walk visits is the leaf, always a left one
+            if left_nil and not leaf_taken:
+                leaf_taken = owns_leaf = True
+            stack.append((node, True, owns_leaf))
+            if not right_nil:
+                stack.append((right, False, False))
+            if not left_nil:
+                stack.append((left, False, False))
+            continue
+        right_number, right_node = (0, None) if right_nil else results.pop()
+        left_number, left_node = (0, None) if left_nil else results.pop()
+        key = (node.label, left_number, right_number)
+        number = vn.get(key)
+        spine = None
+        if number is None:
+            number = vn[key] = len(vn) + 1
+            heights.append(max(heights[left_number], heights[right_number]) + 1)
+            spine = SpineTree(left_node, right_node)
+            if left_node is None and not owns_leaf:
+                pointers[(number, "left")] = left_number
+            if right_node is None:
+                pointers[(number, "right")] = right_number
+        results.append((number, spine))
 
-    root = build(tree)
-    dag = RelaxedDag(root[1], pointers)
-    return dag, table
+    # identifiers number the distinct subtrees by (height, value number)
+    triples = list(vn)  # insertion order is value-number order
+    order = sorted(range(1, len(triples) + 1), key=heights.__getitem__)
+    uid = [0] * (len(triples) + 1)
+    for rank, number in enumerate(order, start=1):
+        uid[number] = rank
+    rows = []
+    for number in order:
+        label, left, right = triples[number - 1]
+        rows.append(((label, uid[left], uid[right]), uid[number]))
+    return RelaxedDag(results[0][1] if results else None, pointers), UidTable(tuple(rows))
 
 
 def unfold(dag: RelaxedDag, at: int | None = None) -> BinaryTree:

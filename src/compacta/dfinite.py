@@ -240,6 +240,8 @@ def seed(k: int, family: str, n0: int | None = None,
 def sequence_values(k: int, family: str, upto: int,
                     n0: int | None = None) -> list[int]:
     """Counts of {family} trees of right height <= k for n = 0..upto."""
+    if upto < 0:
+        raise ValueError("upto must be >= 0")
     if family == "relaxed" and k == 0:
         return [factorial(n) for n in range(upto + 1)]
     return stream(seed(k, family, n0), upto)

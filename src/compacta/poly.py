@@ -8,7 +8,6 @@ rounding ever happens here.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
@@ -27,10 +26,6 @@ class IntPoly:
         while end > 0 and coeffs[end - 1] == 0:
             end -= 1
         object.__setattr__(self, "coeffs", tuple(coeffs[:end]))
-
-    @staticmethod
-    def from_seq(seq) -> "IntPoly":
-        return IntPoly(*seq)
 
     @property
     def degree(self) -> int:
@@ -128,12 +123,6 @@ class IntPoly:
             raise ValueError("inexact polynomial division (nonzero remainder)")
         return IntPoly(*out)
 
-    def content_sign(self) -> int:
-        """Sign of the leading coefficient; 0 for the zero polynomial."""
-        if not self.coeffs:
-            return 0
-        return 1 if self.coeffs[-1] > 0 else -1
-
     def __repr__(self) -> str:
         return f"IntPoly{self.coeffs!r}"
 
@@ -208,13 +197,6 @@ def quarter_square_transform(p: IntPoly, m: int) -> IntPoly:
     for j, c in enumerate(p.coeffs):
         out[m - 2 * j] = c * (1 << (m - 2 * j))
     return IntPoly(*out)
-
-
-def evaluate_fraction(p: IntPoly, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p.coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def binomial_alternating_poly(k: int) -> IntPoly:

@@ -18,6 +18,7 @@ Text forms:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 
@@ -71,76 +72,104 @@ class BinaryTree:
 LEAF = BinaryTree()
 
 
-def _tokenize(text: str):
-    """Yield (token, offset) with parens, '.', '@k' and atoms as tokens."""
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
+_TOKEN = re.compile(r"[()]|[^\s()]+")  # parens, '.', '@k' and atoms
+
+
+def _read(text: str, atom, node, labeled: bool):
+    """Read one form of the shared grammar with an explicit stack.
+
+    ``atom(token)`` gives the value of any token that does not open a node;
+    it raises ValueError with the message for one that does not belong
+    there (including ')').  ``node(left, right, label)`` builds a node once
+    both children are read, so nodes are built in post-order and atoms are
+    seen in text order.  With ``labeled``, an atom right after '(' other
+    than '.' or '@i' is the node's label.
+    """
+    tokens = _TOKEN.findall(text)
+    end = len(tokens)
+
+    def error(message: str, at: int) -> ParseError:
+        starts = [m.start() for m in _TOKEN.finditer(text)]
+        return ParseError(message, starts[at] if at < end else len(text))
+
+    pos = 0
+    open_nodes: list[list] = []  # [label] or [label, left] per unclosed '('
+    while True:
+        if pos == end:
+            raise error("unexpected end of input", pos)
+        tok = tokens[pos]
+        pos += 1
+        if tok == "(":
+            label = None
+            if labeled and pos < end:
+                head = tokens[pos]
+                if head not in ("(", ")", ".") and not head.startswith("@"):
+                    label = head
+                    pos += 1
+            open_nodes.append([label])
             continue
-        if c in "()":
-            yield c, i
-            i += 1
-            continue
-        j = i
-        while j < n and not text[j].isspace() and text[j] not in "()":
-            j += 1
-        yield text[i:j], i
-        i = j
+        try:
+            value = atom(tok)
+        except ValueError as exc:
+            raise error(str(exc), pos - 1) from None
+        while open_nodes:
+            frame = open_nodes[-1]
+            if len(frame) == 1:
+                frame.append(value)
+                break
+            open_nodes.pop()
+            if pos == end or tokens[pos] != ")":
+                raise error("expected ')'", pos)
+            pos += 1
+            value = node(frame[1], value, frame[0])
+        else:
+            if pos != end:
+                raise error("trailing input", pos)
+            return value
+
+
+def _tree_atom(tok: str) -> BinaryTree:
+    if tok == ")":
+        raise ValueError("unexpected ')'")
+    return LEAF if tok == "." else BinaryTree(label=tok)  # bare atom: labeled leaf
 
 
 def parse_tree(text: str) -> BinaryTree:
     """Parse the s-expression tree grammar (labeled or unlabeled)."""
-    tokens = list(_tokenize(text))
-    pos = 0
+    return _read(text, _tree_atom, BinaryTree, labeled=True)
 
-    def fail(msg, at=None):
-        offset = tokens[at][1] if at is not None and at < len(tokens) else len(text)
-        raise ParseError(msg, offset)
 
-    def parse() -> BinaryTree:
-        nonlocal pos
-        if pos >= len(tokens):
-            fail("unexpected end of input")
-        tok, off = tokens[pos]
-        if tok == ".":
-            pos += 1
-            return LEAF
-        if tok == "(":
-            pos += 1
-            if pos >= len(tokens):
-                fail("unexpected end of input")
-            head, _ = tokens[pos]
-            label = None
-            if head not in ("(", ")", ".") and not head.startswith("@"):
-                label = head
-                pos += 1
-            left = parse()
-            right = parse()
-            if pos >= len(tokens) or tokens[pos][0] != ")":
-                fail("expected ')'", pos)
-            pos += 1
-            return BinaryTree(left, right, label)
-        if tok == ")":
-            fail("unexpected ')'", pos)
-        # bare atom: labeled leaf
-        pos += 1
-        return BinaryTree(label=tok)
+def _print(root, split) -> str:
+    """Print a tree of the shared grammar with an explicit stack.
 
-    result = parse()
-    if pos != len(tokens):
-        fail("trailing input", pos)
-    return result
+    ``split(x)`` gives the text of an atom, or (opening, left, right) for a
+    node; atoms are asked for in text order.
+    """
+    out: list[str] = []
+    stack = [root]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        part = split(item)
+        if type(part) is str:
+            out.append(part)
+        else:
+            opening, left, right = part
+            out.append(opening)
+            stack += (")", right, " ", left)
+    return "".join(out)
+
+
+def _tree_parts(t: BinaryTree):
+    if t.left is None:
+        return t.label if t.label is not None else "."
+    return ("(" if t.label is None else f"({t.label} ", t.left, t.right)
 
 
 def print_tree(t: BinaryTree) -> str:
-    if t.is_leaf:
-        return t.label if t.label is not None else "."
-    inner = f"{print_tree(t.left)} {print_tree(t.right)}"
-    if t.label is not None:
-        return f"({t.label} {inner})"
-    return f"({inner})"
+    return _print(t, _tree_parts)
 
 
 # ---------------------------------------------------------------------------
@@ -186,25 +215,6 @@ def right_height(spine: SpineTree | None) -> int:
     return best
 
 
-def postorder_nodes(spine: SpineTree | None) -> list[SpineTree]:
-    """Spine nodes in completion order; node at list position i has index i+1."""
-    out: list[SpineTree] = []
-    if spine is None:
-        return out
-    stack: list[tuple[SpineTree, bool]] = [(spine, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            out.append(node)
-            continue
-        stack.append((node, True))
-        if node.right is not None:
-            stack.append((node.right, False))
-        if node.left is not None:
-            stack.append((node.left, False))
-    return out
-
-
 @dataclass(frozen=True)
 class Slot:
     """A non-spine child position, in post-order visit order.
@@ -219,35 +229,62 @@ class Slot:
     pool: int
 
 
+def _walk(spine: SpineTree | None):
+    """Yield (index, node, left, right) for each spine node as it completes.
+
+    One post-order pass with an explicit stack.  A child is the index of a
+    child node, or, for an empty position, the pair (order, pool): the
+    slot's place among all slots in visit order and the number of nodes
+    completed when it is visited.  A slot is visited before its owner
+    completes, which is why it comes back through the owner.
+    """
+    done = seen = 0
+    indices: list[int] = []  # completed nodes whose parent has not completed
+    stack = [(spine, False, None)] if spine is not None else []
+    while stack:
+        node, expanded, left = stack.pop()
+        if not expanded:
+            if node.left is None:
+                left = (seen, done)
+                seen += 1
+            stack.append((node, True, left))
+            if node.right is not None:
+                stack.append((node.right, False, None))
+            if node.left is not None:
+                stack.append((node.left, False, None))
+            continue
+        # both subtrees are complete; an empty right slot is visited now
+        if node.right is None:
+            right = (seen, done)
+            seen += 1
+        else:
+            right = indices.pop()
+        if node.left is not None:
+            left = indices.pop()
+        done += 1
+        indices.append(done)
+        yield done, node, left, right
+
+
+def postorder_nodes(spine: SpineTree | None) -> list[SpineTree]:
+    """Spine nodes in completion order; node at list position i has index i+1."""
+    return [node for _, node, _, _ in _walk(spine)]
+
+
+def _slots(spine: SpineTree | None) -> list[tuple[int, str, int]]:
+    """(owner, side, pool) of every slot, in visit order."""
+    by_order: dict[int, tuple[int, str, int]] = {}
+    for index, _, left, right in _walk(spine):
+        if type(left) is tuple:
+            by_order[left[0]] = (index, "left", left[1])
+        if type(right) is tuple:
+            by_order[right[0]] = (index, "right", right[1])
+    return [by_order[i] for i in range(len(by_order))]
+
+
 def slot_sequence(spine: SpineTree | None) -> list[Slot]:
     """All n+1 non-spine slots in traversal order (the first is the leaf's)."""
-    if spine is None:
-        return []
-    index: dict[int, int] = {}
-    for i, node in enumerate(postorder_nodes(spine)):
-        index[id(node)] = i + 1
-    slots: list[Slot] = []
-    completed = 0
-
-    # iterative post-order that also visits the empty child positions
-    stack: list[tuple[SpineTree, int]] = [(spine, 0)]
-    while stack:
-        node, state = stack.pop()
-        if state == 0:
-            stack.append((node, 1))
-            if node.left is not None:
-                stack.append((node.left, 0))
-            else:
-                slots.append(Slot(index[id(node)], "left", completed))
-        elif state == 1:
-            stack.append((node, 2))
-            if node.right is not None:
-                stack.append((node.right, 0))
-            else:
-                slots.append(Slot(index[id(node)], "right", completed))
-        else:
-            completed += 1
-    return slots
+    return [Slot(*slot) for slot in _slots(spine)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,34 +306,37 @@ class RelaxedDag:
 
 def post_order(dag: RelaxedDag) -> list[int]:
     """Indices of the spine nodes in completion order, i.e. 1..n."""
-    return [i + 1 for i in range(len(postorder_nodes(dag.spine)))]
+    return list(range(1, dag.n + 1))
 
 
 def validate(dag: RelaxedDag) -> str | None:
     """None when every invariant holds, else the first violation."""
-    slots = slot_sequence(dag.spine)
-    n = dag.n
-    if n == 0:
-        if dag.pointers:
+    return _violation(dag.pointers, _slots(dag.spine))
+
+
+def _violation(pointers: dict[tuple[int, str], int],
+               slots: list[tuple[int, str, int]]) -> str | None:
+    if not slots:
+        if pointers:
             return "size-0 dag must have no pointers"
         return None
-    expected_keys = {(s.owner, s.side) for s in slots[1:]}
-    actual_keys = set(dag.pointers)
+    expected_keys = {(owner, side) for owner, side, _ in slots[1:]}
+    actual_keys = set(pointers)
     if actual_keys != expected_keys:
         missing = expected_keys - actual_keys
         extra = actual_keys - expected_keys
         if missing:
             return f"missing pointer for slot {sorted(missing)[0]}"
         return f"unexpected pointer key {sorted(extra)[0]}"
-    leaf = slots[0]
-    if (leaf.owner, leaf.side) in dag.pointers:
-        return f"leaf slot {(leaf.owner, leaf.side)} must not carry a pointer"
-    for s in slots[1:]:
-        target = dag.pointers[(s.owner, s.side)]
-        if not isinstance(target, int) or target < 0 or target > s.pool:
+    leaf = slots[0][:2]
+    if leaf in pointers:
+        return f"leaf slot {leaf} must not carry a pointer"
+    for owner, side, pool in slots[1:]:
+        target = pointers[(owner, side)]
+        if not isinstance(target, int) or target < 0 or target > pool:
             return (
-                f"pointer at slot {(s.owner, s.side)} targets {target}, "
-                f"legal range is 0..{s.pool}"
+                f"pointer at slot {(owner, side)} targets {target}, "
+                f"legal range is 0..{pool}"
             )
     return None
 
@@ -307,106 +347,50 @@ def dag_adjacency(dag: RelaxedDag) -> list[tuple[int, int]]:
     A spine child contributes its own index; a pointer contributes its
     target; the leaf slot contributes 0.  Entry i-1 describes node i.
     """
-    nodes = postorder_nodes(dag.spine)
-    index = {id(node): i + 1 for i, node in enumerate(nodes)}
-    out = []
-    for i, node in enumerate(nodes):
-        refs = []
-        for side, child in (("left", node.left), ("right", node.right)):
-            if child is not None:
-                refs.append(index[id(child)])
-            else:
-                refs.append(dag.pointers.get((i + 1, side), 0))
-        out.append((refs[0], refs[1]))
-    return out
+    target = dag.pointers.get
+    return [
+        (left if type(left) is int else target((index, "left"), 0),
+         right if type(right) is int else target((index, "right"), 0))
+        for index, _, left, right in _walk(dag.spine)
+    ]
 
 
 def dag_to_text(dag: RelaxedDag) -> str:
     if dag.spine is None:
         return "@0"
-    index = {id(node): i + 1 for i, node in enumerate(postorder_nodes(dag.spine))}
+    targets = iter([dag.pointers.get(slot[:2], 0) for slot in _slots(dag.spine)])
 
-    def render(node: SpineTree) -> str:
-        parts = []
-        for side, child in (("left", node.left), ("right", node.right)):
-            if child is not None:
-                parts.append(render(child))
-            else:
-                target = dag.pointers.get((index[id(node)], side), 0)
-                parts.append(f"@{target}")
-        return f"({parts[0]} {parts[1]})"
+    def split(node: SpineTree | None):
+        return f"@{next(targets)}" if node is None else ("(", node.left, node.right)
 
-    return render(dag.spine)
+    return _print(dag.spine, split)
 
 
 def dag_from_text(text: str) -> RelaxedDag:
     """Parse the "@i" dag form and validate the result."""
-    tokens = list(_tokenize(text))
-    pos = 0
-
-    def fail(msg, at=None):
-        offset = tokens[at][1] if at is not None and at < len(tokens) else len(text)
-        raise ParseError(msg, offset)
-
-    # first pass: build the spine skeleton, remembering raw targets per slot
-    raw_slots: list[tuple[SpineTree, str, int]] = []
-
-    def parse() -> SpineTree | None:
-        nonlocal pos
-        if pos >= len(tokens):
-            fail("unexpected end of input")
-        tok, off = tokens[pos]
-        if tok.startswith("@"):
-            pos += 1
-            return None  # slot; target resolved by the caller
-        if tok != "(":
-            fail("expected '(' or '@i'", pos)
-        pos += 1
-        children = []
-        targets = []
-        for _ in range(2):
-            if pos < len(tokens) and tokens[pos][0].startswith("@"):
-                tok2, off2 = tokens[pos]
-                try:
-                    targets.append(int(tok2[1:]))
-                except ValueError:
-                    raise ParseError(f"bad pointer token {tok2!r}", off2) from None
-                children.append(None)
-                pos += 1
-            else:
-                children.append(parse())
-                targets.append(None)
-        if pos >= len(tokens) or tokens[pos][0] != ")":
-            fail("expected ')'", pos)
-        pos += 1
-        node = SpineTree(children[0], children[1])
-        if targets[0] is not None:
-            raw_slots.append((node, "left", targets[0]))
-        if targets[1] is not None:
-            raw_slots.append((node, "right", targets[1]))
-        return node
-
-    if tokens and tokens[0][0] == "@0" and len(tokens) == 1:
+    body = text.lstrip()
+    if body.rstrip() == "@0":
         return RelaxedDag(None, {})
-    spine = parse()
-    if spine is None:
-        fail("a bare pointer token is only valid as '@0'", 0)
-    if pos != len(tokens):
-        fail("trailing input", pos)
-    index = {id(node): i + 1 for i, node in enumerate(postorder_nodes(spine))}
-    slots = slot_sequence(spine)
-    by_key = {(s.owner, s.side): s for s in slots}
-    pointers = {}
-    leaf_key = (slots[0].owner, slots[0].side)
-    for node, side, target in raw_slots:
-        key = (index[id(node)], side)
-        if key == leaf_key:
-            if target != 0:
-                raise ParseError(f"leaf slot must read @0, got @{target}", 0)
-            continue
-        pointers[key] = target
-    dag = RelaxedDag(spine, pointers)
-    problem = validate(dag)
+    if body.startswith("@"):
+        raise ParseError("a bare pointer token is only valid as '@0'",
+                         len(text) - len(body))
+    targets: list[int] = []  # '@i' tokens come in slot visit order
+
+    def pointer(tok: str) -> None:
+        if not tok.startswith("@"):
+            raise ValueError("expected '(' or '@i'")
+        try:
+            targets.append(int(tok[1:]))
+        except ValueError:
+            raise ValueError(f"bad pointer token {tok!r}") from None
+
+    spine = _read(text, pointer, lambda left, right, _label: SpineTree(left, right),
+                  labeled=False)
+    if targets[0] != 0:
+        raise ParseError(f"leaf slot must read @0, got @{targets[0]}", 0)
+    slots = _slots(spine)
+    pointers = {slot[:2]: target for slot, target in zip(slots[1:], targets[1:])}
+    problem = _violation(pointers, slots)
     if problem is not None:
         raise ParseError(f"invalid dag: {problem}", 0)
-    return dag
+    return RelaxedDag(spine, pointers)

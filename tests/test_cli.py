@@ -96,6 +96,16 @@ def test_compact_parse_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_compact_deep_comb(tmp_path, capsys):
+    depth = 3000
+    f = tmp_path / "comb.sexp"
+    f.write_text("(" * depth + ". .)" + " .)" * (depth - 1))  # left comb
+    assert run(["compact", str(f)]) == 0
+    lines = out_lines(capsys)
+    assert len(lines) == 1 + depth + 1  # header, one row per distinct subtree, dag
+    assert lines[-1] == "(" * depth + "@0 @0)" + " @0)" * (depth - 1)
+
+
 def test_asymptotics_output(capsys):
     assert run(["asymptotics", "--k", "3", "--family", "compacted"]) == 0
     text = capsys.readouterr().out
@@ -112,6 +122,21 @@ def test_asymptotics_fit_and_plot(tmp_path, capsys):
     assert lines[0] == "n,u" and len(lines) == 65
 
 
+def test_fit_needs_a_positive_upto(capsys):
+    argv = ["asymptotics", "--family", "relaxed", "--k", "1", "--fit", "--upto", "0"]
+    assert run(argv) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_sequence_rejects_negative_upto(k, capsys):
+    argv = ["sequence", "--family", "relaxed", "--k", str(k), "--upto", "-2"]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run(["sequence", "--family", "relaxed"])  # missing required flags
@@ -123,7 +148,7 @@ def test_usage_error_exit_code():
 
 
 def test_selftest_passes(capsys):
-    assert run(["--threads", "2", "selftest"]) == 0
+    assert run(["selftest"]) == 0
     lines = out_lines(capsys)
     assert lines[-1] == "OK"
     assert all(line.startswith("PASS") for line in lines[:-2])

@@ -129,3 +129,43 @@ def test_compacted_counts_small():
     assert sum(1 for _ in gen_compacted(GenFilter(2))) == 3
     assert sum(1 for _ in gen_compacted(GenFilter(4))) == 111
     assert sum(1 for _ in gen_compacted(GenFilter(5))) == 1119
+
+
+def _labeled_tree_text(rng, size):
+    """Random tree with internal nodes labeled over {a, b} and plain leaves."""
+    if size == 0:
+        return "."
+    split = rng.randrange(size)
+    return (f"({rng.choice('ab')} {_labeled_tree_text(rng, split)} "
+            f"{_labeled_tree_text(rng, size - 1 - split)})")
+
+
+def _subtrees_post_order(t):
+    """(printed text, height) of every non-empty subtree, in post-order."""
+    out = []
+
+    def visit(node):
+        if node.is_leaf:
+            return -1
+        height = max(visit(node.left), visit(node.right)) + 1
+        out.append((print_tree(node), height))
+        return height
+
+    visit(t)
+    return out
+
+
+def test_table_rows_are_the_distinct_subtrees_by_height_then_first_occurrence():
+    rng = random.Random(2)
+    for _ in range(200):
+        t = parse_tree(_labeled_tree_text(rng, rng.randint(0, 30)))
+        first = {}  # printed subtree -> (height, first post-order occurrence)
+        for position, (text, height) in enumerate(_subtrees_post_order(t)):
+            first.setdefault(text, (height, position))
+        expected = sorted(first, key=first.get)
+        _, table = uid_compact(t)
+        printed = {0: "."}
+        for (label, ul, ur), uid in table.rows:
+            printed[uid] = f"({label} {printed[ul]} {printed[ur]})"
+        assert [uid for _, uid in table.rows] == list(range(1, len(expected) + 1))
+        assert [printed[uid] for _, uid in table.rows] == expected

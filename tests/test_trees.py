@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -198,3 +200,29 @@ def test_dag_text_round_trip(spine, data):
     again = dag_from_text(dag_to_text(dag))
     assert dag_to_text(again) == dag_to_text(dag)
     assert again.n == dag.n
+
+
+# --- inputs far deeper than the recursion limit -----------------------------
+
+
+def spine_text(depth, leg, left):
+    """A comb (leg ".") or caterpillar (leg "(. .)") of the given depth."""
+    opens = ("(" if left else f"({leg} ") * (depth - 1)
+    closes = (f" {leg})" if left else ")") * (depth - 1)
+    return opens + "(. .)" + closes
+
+
+@pytest.mark.parametrize("leg", [".", "(. .)"], ids=["comb", "caterpillar"])
+@pytest.mark.parametrize("left", [True, False], ids=["left", "right"])
+def test_deep_text_round_trips(leg, left):
+    from compacta.compaction import uid_compact
+
+    depth = 10**5
+    assert depth > 50 * sys.getrecursionlimit()
+    text = spine_text(depth, leg, left)
+    tree = parse_tree(text)
+    assert print_tree(tree) == text
+    dag, table = uid_compact(tree)
+    assert dag.n == table.counter == depth
+    dag_text = dag_to_text(dag)
+    assert dag_to_text(dag_from_text(dag_text)) == dag_text
