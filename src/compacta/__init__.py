@@ -22,7 +22,6 @@ from .asympt import (
 from .compaction import (
     UidTable,
     first_duplicate,
-    is_cherry,
     is_compacted,
     uid_compact,
     unfold,
@@ -69,7 +68,6 @@ from .trees import (
     dag_from_text,
     dag_to_text,
     parse_tree,
-    post_order,
     print_tree,
     right_height,
     validate,

@@ -35,8 +35,8 @@ from .trees import (
     BinaryTree,
     RelaxedDag,
     SpineTree,
+    _shape,
     dag_adjacency,
-    postorder_nodes,
 )
 
 Triple = tuple[str | None, int, int]
@@ -146,7 +146,10 @@ def first_duplicate(dag: RelaxedDag) -> int | None:
     reduces to distinctness of the reference pairs.
     """
     seen: set[tuple[int, int]] = set()
-    for i, refs in enumerate(dag_adjacency(dag), start=1):
+    target = dag.pointers.get
+    for i, (left, right) in enumerate(_shape(dag.spine), start=1):
+        refs = (left if type(left) is int else target(left, 0),
+                right if type(right) is int else target(right, 0))
         if refs in seen:
             return i
         seen.add(refs)
@@ -156,10 +159,3 @@ def first_duplicate(dag: RelaxedDag) -> int | None:
 def is_compacted(dag: RelaxedDag) -> bool:
     """True iff all subtrees hanging off spine nodes are pairwise distinct."""
     return first_duplicate(dag) is None
-
-
-def is_cherry(dag: RelaxedDag, index: int) -> bool:
-    """True if both children of the spine node at ``index`` are pointers
-    (or the leaf), i.e. neither child is a spine node."""
-    node = postorder_nodes(dag.spine)[index - 1]
-    return node.left is None and node.right is None

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 
 class ParseError(ValueError):
@@ -304,11 +305,6 @@ class RelaxedDag:
         return spine_size(self.spine)
 
 
-def post_order(dag: RelaxedDag) -> list[int]:
-    """Indices of the spine nodes in completion order, i.e. 1..n."""
-    return list(range(1, dag.n + 1))
-
-
 def validate(dag: RelaxedDag) -> str | None:
     """None when every invariant holds, else the first violation."""
     return _violation(dag.pointers, _slots(dag.spine))
@@ -341,17 +337,30 @@ def _violation(pointers: dict[tuple[int, str], int],
     return None
 
 
+@lru_cache(maxsize=1)
+def _shape(spine: SpineTree | None) -> tuple:
+    """(left, right) per spine node in completion order: a child's index or
+    the (owner, side) key of an empty slot.  Kept for the last spine only,
+    keyed by identity; the cache holds the spine, so its id is not reused."""
+    return tuple(
+        (left if type(left) is int else (index, "left"),
+         right if type(right) is int else (index, "right"))
+        for index, _, left, right in _walk(spine)
+    )
+
+
 def dag_adjacency(dag: RelaxedDag) -> list[tuple[int, int]]:
     """For each spine index 1..n, the (left, right) successor indices.
 
     A spine child contributes its own index; a pointer contributes its
-    target; the leaf slot contributes 0.  Entry i-1 describes node i.
+    target; the leaf slot contributes 0.  Entry i-1 describes node i.  The
+    spine's shape is cached for one spine at a time, keyed by identity.
     """
     target = dag.pointers.get
     return [
-        (left if type(left) is int else target((index, "left"), 0),
-         right if type(right) is int else target((index, "right"), 0))
-        for index, _, left, right in _walk(dag.spine)
+        (left if type(left) is int else target(left, 0),
+         right if type(right) is int else target(right, 0))
+        for left, right in _shape(dag.spine)
     ]
 
 

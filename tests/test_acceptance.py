@@ -17,7 +17,6 @@ from compacta.asympt import (
 )
 from compacta.compaction import (
     first_duplicate,
-    is_cherry,
     is_compacted,
     uid_compact,
     unfold,
@@ -40,10 +39,17 @@ from compacta.operators import (
 )
 from compacta.poly import IntPoly, chebyshev_u
 from compacta.recurrences import build_table
-from compacta.trees import parse_tree, print_tree
+from compacta.trees import parse_tree, postorder_nodes, print_tree
 
 COMPACTED_COUNTS = [1, 1, 3, 15, 111, 1119, 14487, 230943, 4395855, 97608831]
 RELAXED_COUNTS = [1, 1, 3, 16, 127, 1363, 18628, 311250, 6173791, 142190703]
+
+
+def is_cherry(dag, index):
+    """True if both children of the spine node at ``index`` are pointers
+    (or the leaf), i.e. neither child is a spine node."""
+    node = postorder_nodes(dag.spine)[index - 1]
+    return node.left is None and node.right is None
 
 
 def report(number, text):

@@ -4,13 +4,32 @@ import pytest
 
 from compacta.compaction import (
     first_duplicate,
-    is_cherry,
     is_compacted,
     uid_compact,
     unfold,
 )
-from compacta.exhaustive import GenFilter, gen_compacted, gen_relaxed
-from compacta.trees import dag_to_text, parse_tree, print_tree, validate
+from compacta.exhaustive import GenFilter, gen_compacted, gen_relaxed, gen_spines
+from compacta.trees import (
+    RelaxedDag,
+    _shape,
+    dag_adjacency,
+    dag_from_text,
+    dag_to_text,
+    parse_tree,
+    postorder_nodes,
+    print_tree,
+    slot_sequence,
+    spine_size,
+    validate,
+)
+
+
+def is_cherry(dag, index):
+    """True if both children of the spine node at ``index`` are pointers
+    (or the leaf), i.e. neither child is a spine node."""
+    node = postorder_nodes(dag.spine)[index - 1]
+    return node.left is None and node.right is None
+
 
 EXPR = "(* (- (* x x) (* y y)) (+ (* x x) (* y y)))"
 
@@ -169,3 +188,67 @@ def test_table_rows_are_the_distinct_subtrees_by_height_then_first_occurrence():
             printed[uid] = f"({label} {printed[ul]} {printed[ur]})"
         assert [uid for _, uid in table.rows] == list(range(1, len(expected) + 1))
         assert [printed[uid] for _, uid in table.rows] == expected
+
+
+def _reference_adjacency(dag):
+    """dag_adjacency rebuilt from postorder_nodes and slot_sequence alone.
+
+    Generated spines share subtrees, so children are found by position: in
+    post-order the right child of node i is i-1, and the left child comes
+    just before the right subtree.
+    """
+    targets = {(s.owner, s.side): dag.pointers.get((s.owner, s.side), 0)
+               for s in slot_sequence(dag.spine)}
+    adjacency = []
+    for i, node in enumerate(postorder_nodes(dag.spine), start=1):
+        right = targets[(i, "right")] if node.right is None else i - 1
+        left = (targets[(i, "left")] if node.left is None
+                else i - 1 - spine_size(node.right))
+        adjacency.append((left, right))
+    return adjacency
+
+
+def _reference_first_duplicate(dag):
+    seen = set()
+    for i, refs in enumerate(_reference_adjacency(dag), start=1):
+        if refs in seen:
+            return i
+        seen.add(refs)
+    return None
+
+
+def test_cached_spine_shape_never_answers_for_another_spine():
+    rng = random.Random(11)
+    spines = [s for n in range(7) for s in gen_spines(n)]
+    dags = []
+    for _ in range(1000):
+        spine = rng.choice(spines)
+        pointers = {(s.owner, s.side): rng.randint(0, s.pool)
+                    for s in slot_sequence(spine)[1:]}
+        dag = RelaxedDag(spine, pointers)
+        dags.append(dag)
+        # a structurally equal dag over a distinct spine object
+        dags.append(dag_from_text(dag_to_text(dag)))
+        if pointers and rng.random() < 0.3:  # a missing key reads as target 0
+            dropped = dict(pointers)
+            del dropped[rng.choice(sorted(dropped))]
+            dags.append(RelaxedDag(spine, dropped))
+    rng.shuffle(dags)
+    texts = [dag_to_text(dag) for dag in dags]
+    duplicates = 0
+    for dag in dags:
+        expected = _reference_first_duplicate(dag)
+        duplicates += expected is not None
+        assert dag_adjacency(dag) == _reference_adjacency(dag)
+        assert first_duplicate(dag) == expected
+        assert is_compacted(dag) == (expected is None)
+    assert 0 < duplicates < len(dags)
+    # each spine object is freed before the next is built, so a cache keyed
+    # by a bare id() would see the same id for different spines
+    for text in texts:
+        dag = dag_from_text(text)
+        expected = _reference_first_duplicate(dag)
+        assert (first_duplicate(dag), dag_adjacency(dag)) == \
+            (expected, _reference_adjacency(dag))
+        del dag
+    assert _shape.cache_info().maxsize == 1

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from compacta.dfinite import sequence_values
 from compacta.exhaustive import (
     BudgetExceededError,
     GenFilter,
@@ -9,10 +10,12 @@ from compacta.exhaustive import (
     count_relaxed_spine_product,
     gen_relaxed,
     gen_spines,
+    spine_assignment_count,
 )
 from compacta.recurrences import build_table
 from compacta.trees import (
     RelaxedDag,
+    SpineTree,
     dag_to_text,
     right_height,
     slot_sequence,
@@ -39,6 +42,37 @@ def test_spine_counts_are_catalan(n):
 def test_spines_distinct():
     texts = {spine_shape(s) for s in gen_spines(6)}
     assert len(texts) == catalan(6)
+
+
+def _recursive_spines(n, bound=None):
+    """gen_spines as plain recursion, with no subtree built once and shared."""
+    if n == 0:
+        yield None
+        return
+    right_bound = None if bound is None else bound - 1
+    for left_size in range(n):
+        for left in _recursive_spines(left_size, bound):
+            if right_bound is not None and right_bound < 0:
+                if n - 1 - left_size == 0:
+                    yield SpineTree(left, None)
+                continue
+            for right in _recursive_spines(n - 1 - left_size, right_bound):
+                yield SpineTree(left, right)
+
+
+@pytest.mark.parametrize("bound", [None, 0, 1, 2, 3])
+def test_spines_come_in_the_order_of_the_plain_recursion(bound):
+    for n in range(8):
+        assert [spine_shape(s) for s in gen_spines(n, bound)] == \
+            [spine_shape(s) for s in _recursive_spines(n, bound)]
+
+
+def test_spine_product_multiplies_the_slot_pools():
+    for bound in (None, 1):
+        for n in range(8):
+            for spine in gen_spines(n, bound):
+                assert spine_assignment_count(spine) == \
+                    math.prod(s.pool + 1 for s in slot_sequence(spine))
 
 
 def test_bounded_spines():
@@ -104,6 +138,14 @@ def test_brute_count_kinds():
     assert brute_count(4, "relaxed") == 127
     assert brute_count(4, "compacted") == 111
     assert brute_count(3, "relaxed", max_right_height=1) == 15
+
+
+def test_brute_force_equals_the_exact_counts_at_size_seven():
+    # the counts the oracles benchmark workload computes by brute force
+    assert brute_count(7, "compacted") == build_table("compacted", 7).count(7) == 230943
+    for k in (2, 3):
+        assert brute_count(7, "compacted", max_right_height=k) == \
+            sequence_values(k, "compacted", 7)[7]
 
 
 def test_genfilter_validation():
