@@ -59,7 +59,7 @@ from .operators import (
     relaxed_operator,
 )
 from .poly import IntPoly, chebyshev_t, chebyshev_u
-from .recurrences import CountTable, build_table, compacted_count, relaxed_count
+from .recurrences import CountTable, build_table, word_counts
 from .trees import (
     BinaryTree,
     ParseError,

@@ -109,14 +109,14 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    table = recurrences.build_table(args.kind, args.n)
-    if args.table:
-        print("n,p,value")
-        for n in range(args.n + 1):
-            for p in range(args.n - n + 1):
-                print(f"{n},{p},{table.value(n, p)}")
+    if not args.table:
+        print(recurrences.word_counts(args.kind, args.n)[args.n])
         return 0
-    print(table.count(args.n))
+    table = recurrences.build_table(args.kind, args.n)
+    print("n,p,value")
+    for n in range(args.n + 1):
+        for p in range(args.n - n + 1):
+            print(f"{n},{p},{table.value(n, p)}")
     return 0
 
 

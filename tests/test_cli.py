@@ -1,6 +1,7 @@
 import pytest
 
 from compacta.cli import run
+from compacta.recurrences import build_table
 from compacta.trees import dag_from_text
 
 
@@ -18,6 +19,36 @@ def test_count_table_dump(capsys):
     lines = out_lines(capsys)
     assert lines[0] == "n,p,value"
     assert "0,0,1" in lines and "1,1,4" in lines and "2,0,3" in lines
+
+
+# `count --n 5 --table` as printed by the table engine before `count --n`
+# moved to the word DP
+TABLE_FIVE = {
+    "compacted": "0,0,1 0,1,2 0,2,3 0,3,4 0,4,5 0,5,6 1,0,1 1,1,3 1,2,7 1,3,13 1,4,21 "
+                 "2,0,3 2,1,15 2,2,49 2,3,117 3,0,15 3,1,111 3,2,483 4,0,111 4,1,1119 "
+                 "5,0,1119",
+    "relaxed": "0,0,1 0,1,2 0,2,3 0,3,4 0,4,5 0,5,6 1,0,1 1,1,4 1,2,9 1,3,16 1,4,25 "
+               "2,0,3 2,1,20 2,2,63 2,3,144 3,0,16 3,1,156 3,2,648 4,0,127 4,1,1664 "
+               "5,0,1363",
+}
+
+
+@pytest.mark.parametrize("kind", ["compacted", "relaxed"])
+def test_count_contract(kind, capsys):
+    assert run(["count", "--kind", kind, "--n", "0"]) == 0
+    assert out_lines(capsys) == ["1"]
+    assert run(["count", "--kind", kind, "--n", "60"]) == 0
+    assert out_lines(capsys) == [str(build_table(kind, 60).count(60))]
+    assert run(["count", "--kind", kind, "--n", "5", "--table"]) == 0
+    assert out_lines(capsys) == ["n,p,value"] + TABLE_FIVE[kind].split()
+
+
+@pytest.mark.parametrize("table", [[], ["--table"]])
+def test_count_rejects_negative_n(table, capsys):
+    assert run(["count", "--kind", "compacted", "--n", "-1", *table]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: nmax must be >= 0\n"
 
 
 def test_sequence_relaxed_one(capsys):

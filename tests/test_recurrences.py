@@ -2,12 +2,9 @@ import math
 
 import pytest
 
-from compacta.exhaustive import brute_count
-from compacta.recurrences import (
-    build_table,
-    compacted_count,
-    relaxed_count,
-)
+from compacta.dfinite import sequence_values
+from compacta.exhaustive import brute_count, count_relaxed_spine_product
+from compacta.recurrences import build_table, word_counts
 
 COMPACTED = [1, 1, 3, 15, 111, 1119, 14487, 230943, 4395855, 97608831]
 RELAXED = [1, 1, 3, 16, 127, 1363, 18628, 311250, 6173791, 142190703]
@@ -27,11 +24,11 @@ def test_base_rows():
 def test_counting_sequences():
     assert build_table("compacted", 9).counts() == COMPACTED
     assert build_table("relaxed", 9).counts() == RELAXED
-    assert compacted_count(6) == 14487
-    assert compacted_count(9) == 97608831
-    assert relaxed_count(6) == 18628
-    assert relaxed_count(8) == 6173791
-    assert compacted_count(0) == relaxed_count(0) == 1
+    assert word_counts("compacted", 6)[6] == 14487
+    assert word_counts("compacted", 9)[9] == 97608831
+    assert word_counts("relaxed", 6)[6] == 18628
+    assert word_counts("relaxed", 8)[8] == 6173791
+    assert word_counts("compacted", 0)[0] == word_counts("relaxed", 0)[0] == 1
 
 
 def test_relaxed_dominates_compacted():
@@ -79,3 +76,32 @@ def test_entries_strictly_positive():
     for kind in ("compacted", "relaxed"):
         t = build_table(kind, 15)
         assert all(v > 0 for row in t.rows for v in row)
+
+
+@pytest.mark.parametrize("kind", ["compacted", "relaxed"])
+def test_word_counts_equal_the_table(kind):
+    assert word_counts(kind, 200) == build_table(kind, 200).counts()
+
+
+@pytest.mark.parametrize("family", ["compacted", "relaxed"])
+def test_bounded_word_counts_equal_the_streams(family):
+    for k in range(7):
+        assert word_counts(family, 500, k) == sequence_values(k, family, 500)
+
+
+@pytest.mark.parametrize("bound", [None, 0, 1, 2, 3])
+def test_word_counts_against_brute_force(bound):
+    for kind in ("compacted", "relaxed"):
+        assert word_counts(kind, 6, bound) == [brute_count(n, kind, bound) for n in range(7)]
+    assert word_counts("relaxed", 10, bound) == [
+        count_relaxed_spine_product(n, bound) for n in range(11)]
+
+
+def test_word_counts_edges():
+    assert word_counts("compacted", 0) == word_counts("relaxed", 0) == [1]
+    for bad in [("gamma", 3), ("compacted", -1)]:
+        with pytest.raises(ValueError) as table_error:
+            build_table(*bad)
+        with pytest.raises(ValueError) as word_error:
+            word_counts(*bad)
+        assert str(word_error.value) == str(table_error.value)
