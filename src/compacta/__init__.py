@@ -30,7 +30,6 @@ from .dfinite import (
     CoeffRecurrence,
     IntegralityError,
     SeededSequence,
-    SeedUnavailableError,
     closed_form_oracle,
     iter_sequence,
     ode_to_recurrence,

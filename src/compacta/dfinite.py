@@ -14,9 +14,15 @@ nonnegative integer root of q_0 makes the stream unique.
 The stream itself runs on the n!-scaled integer counts: multiplying the
 relation by n! turns q_j(n) into q_j(n) * n^falling(j), so each step is a
 few big-int multiplies and one exact division whose remainder doubles as
-the integrality assertion.  Seeds come from the exact count tables: a tree
-of size at most k+1 cannot exceed right height k, so the bounded and
-unbounded counts coincide on every index the default seeding needs.
+the integrality assertion.
+
+Seeds n <= k+1 come from the exact count table: a tree of size at most k+1
+cannot exceed right height k, so there the bounded and unbounded counts
+coincide, and every default seed index lies in that range.  Seeds past it,
+which only an explicit larger n0 asks for, come from the bounded word
+counts.  Right height 0 allows only left combs, n! of them in both
+families, so B_0 = (1-z)D - 1 annihilates the relaxed k = 0 series too;
+A_0 = 1-z is only the base of the relaxed recursion.
 """
 
 from __future__ import annotations
@@ -25,19 +31,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .exhaustive import BudgetExceededError, brute_count
 from .operators import DiffOperator, build_operator
 from .poly import IntPoly, falling_factorial_poly
-from .recurrences import build_table
+from .recurrences import build_table, word_counts
 
 
 class IntegralityError(ArithmeticError):
     """A streamed value failed the exact-division check: wrong seeds or
     an operator that does not annihilate the intended series."""
-
-
-class SeedUnavailableError(RuntimeError):
-    """Requested seeds need brute force beyond the enumeration budget."""
 
 
 @dataclass(frozen=True)
@@ -97,13 +98,12 @@ def ode_to_recurrence(op: DiffOperator) -> CoeffRecurrence:
 class SeededSequence:
     """A recurrence plus enough exact leading coefficients to run it.
 
-    seeds[n] is the ordinary coefficient a_n for n < N0 = len(seeds);
-    scale "egf" reports a_n * n! (asserted integral), "ogf" reports a_n.
+    seeds[n] is the ordinary coefficient a_n for n < N0 = len(seeds); the
+    stream reports a_n * n!, asserted integral.
     """
 
     rec: CoeffRecurrence
     seeds: tuple[Fraction, ...]
-    scale: str = "egf"
 
     def __post_init__(self):
         n0 = len(self.seeds)
@@ -131,8 +131,6 @@ def _count_form(rec: CoeffRecurrence) -> tuple[IntPoly, ...]:
 
 def iter_counts(seq: SeededSequence):
     """Yield (n, count) forever; count = a_n * n! as an exact integer."""
-    if seq.scale != "egf":
-        raise ValueError("iter_counts needs egf scale")
     window: list[int] = []  # last `span` counts, newest last
     span = seq.rec.span
     qpolys = _count_form(seq.rec)
@@ -167,74 +165,43 @@ def iter_counts(seq: SeededSequence):
         n += 1
 
 
-def stream(seq: SeededSequence, upto: int) -> list:
-    """Exact values for n = 0..upto (counts for egf scale, Fractions for ogf)."""
+def stream(seq: SeededSequence, upto: int) -> list[int]:
+    """Exact counts a_n * n! for n = 0..upto."""
     if upto < 0:
         raise ValueError("upto must be >= 0")
-    if seq.scale == "egf":
-        out = []
-        for n, c in iter_counts(seq):
-            out.append(c)
-            if n == upto:
-                return out
-    # ogf: run the rational recurrence directly
-    values = list(seq.seeds)
-    for n in range(len(values), upto + 1):
-        den = seq.rec.coeffs[0](n)
-        if den == 0:
-            raise IntegralityError(f"leading coefficient vanishes at n = {n}")
-        acc = Fraction(0)
-        for j in range(1, seq.rec.span + 1):
-            if n - j >= 0:
-                acc += seq.rec.coeffs[j](n) * values[n - j]
-        values.append(-acc / den)
-    return values[: upto + 1]
+    out = []
+    for n, c in iter_counts(seq):
+        out.append(c)
+        if n == upto:
+            return out
 
 
-def seed(k: int, family: str, n0: int | None = None,
-         budget: int | None = None) -> SeededSequence:
+def seed(k: int, family: str, n0: int | None = None) -> SeededSequence:
     """Seeded sequence for the bounded-right-height counting series.
 
     Default n0 is the smallest sound choice (just past the integer roots of
-    the leading recurrence coefficient); every default seed index n is at
-    most k+1, where bounded and unbounded counts coincide, so the exact
-    tables supply the seeds.  Larger n0 falls back to height-filtered
-    exhaustive counts and may exhaust the enumeration budget.
+    the leading recurrence coefficient).  Seeds n <= k+1, where bounded and
+    unbounded counts coincide, come from the count table; any seeds past
+    that come from the bounded word counts.  At k = 0 both families count
+    the n! left combs, so both run on B_0.
     """
     if family not in ("relaxed", "compacted"):
         raise ValueError(f"family must be 'relaxed' or 'compacted', got {family!r}")
     if k < 0:
         raise ValueError("k must be >= 0")
-    if family == "relaxed" and k == 0:
-        raise ValueError(
-            "right height 0 has no annihilating operator; the counts are n! "
-            "(use sequence_values, which special-cases it)"
-        )
-    op = build_operator(family, k)
-    rec = ode_to_recurrence(op)
+    rec = ode_to_recurrence(build_operator("compacted" if k == 0 else family, k))
     roots = rec.leading_integer_roots()
     minimal = max(rec.valid_from, rec.span, (roots[-1] + 1) if roots else 0, 1)
     if n0 is None:
         n0 = minimal
     elif n0 < minimal:
         raise ValueError(f"n0 = {n0} too small, need at least {minimal}")
-
-    table_max = min(n0 - 1, k + 1)
-    table = build_table(family, table_max) if table_max >= 0 else None
-    seeds = []
-    for n in range(n0):
-        if n <= k + 1:
-            count = table.count(n)
-        else:
-            try:
-                count = brute_count(n, family, max_right_height=k, budget=budget)
-            except BudgetExceededError as exc:
-                raise SeedUnavailableError(
-                    f"seed at n = {n} needs exhaustive enumeration over budget "
-                    f"({exc.estimate} objects)"
-                ) from exc
-        seeds.append(Fraction(count, factorial(n)))
-    return SeededSequence(rec, tuple(seeds), "egf")
+    counts = build_table(family, min(n0 - 1, k + 1)).counts()
+    if n0 > k + 2:
+        counts += word_counts(family, n0 - 1, k)[k + 2:]
+    return SeededSequence(
+        rec, tuple(Fraction(c, factorial(n)) for n, c in enumerate(counts))
+    )
 
 
 def sequence_values(k: int, family: str, upto: int,
@@ -242,21 +209,12 @@ def sequence_values(k: int, family: str, upto: int,
     """Counts of {family} trees of right height <= k for n = 0..upto."""
     if upto < 0:
         raise ValueError("upto must be >= 0")
-    if family == "relaxed" and k == 0:
-        return [factorial(n) for n in range(upto + 1)]
     return stream(seed(k, family, n0), upto)
 
 
 def iter_sequence(k: int, family: str):
     """Yield (n, count) forever for the bounded-right-height sequence."""
-    if family == "relaxed" and k == 0:
-        n, c = 0, 1
-        while True:
-            yield n, c
-            n += 1
-            c *= n
-    else:
-        yield from iter_counts(seed(k, family))
+    yield from iter_counts(seed(k, family))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ An operator is kept in right-canonical form sum_i p_i(z) * D^i (all
 derivatives to the right of the polynomials).  Composition normalizes with
 the commutation rule D * p(z) = p(z) * D + p'(z).
 
-Two operator families are built here by recursion on the right-height bound:
+Two operator families are built here by recurrence on the right-height bound:
 one annihilating the exponential generating function of relaxed binary
 trees, one annihilating that of compacted binary trees.  Their canonical
 coefficients satisfy closed per-index recurrences and Chebyshev closed
@@ -14,7 +14,6 @@ path.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb
 
 from .poly import (
@@ -25,6 +24,7 @@ from .poly import (
     binomial_alternating_poly,
     chebyshev_t,
     chebyshev_u,
+    extend_family,
     format_poly,
     quarter_square_transform,
 )
@@ -133,38 +133,38 @@ D2Z = op_compose(op_compose(D, D), MUL_Z)  # z D^2 + 2 D
 ZD = op_compose(MUL_Z, D)
 
 
-@lru_cache(maxsize=None)
+def _relaxed_operator_step(a1, a2, _k):
+    return op_compose(a1, D) - op_compose(a2, D2Z)
+
+
+def _compacted_operator_step(b1, b2, _k):
+    return op_compose(b1, D) - op_compose(b2, D2Z - ZD)
+
+
+_RELAXED = [DiffOperator(IntPoly(1, -1)), DiffOperator(IntPoly(-1), IntPoly(1, -2))]
+_COMPACTED = [
+    DiffOperator(IntPoly(-1), IntPoly(1, -1)),
+    DiffOperator(ZERO, IntPoly(-3, 1), IntPoly(1, -2)),
+]
+
+
 def relaxed_operator(k: int) -> DiffOperator:
     """Annihilator of the EGF of relaxed trees of right height <= k (k >= 1).
 
     A_0 = (1-z), A_1 = (1-2z)D - 1, A_k = A_{k-1} D - A_{k-2} D^2 z.
-    A_0 is the recursion base only: it does not annihilate the k=0 series.
+    A_0 is the recursion base only: it does not annihilate the k=0 series
+    (n! left combs), which B_0 does.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if k == 0:
-        return DiffOperator(IntPoly(1, -1))
-    if k == 1:
-        return DiffOperator(IntPoly(-1), IntPoly(1, -2))
-    return op_compose(relaxed_operator(k - 1), D) - op_compose(relaxed_operator(k - 2), D2Z)
+    return extend_family(_RELAXED, k, _relaxed_operator_step)
 
 
-@lru_cache(maxsize=None)
 def compacted_operator(k: int) -> DiffOperator:
     """Annihilator of the EGF of compacted trees of right height <= k (k >= 0).
 
     B_0 = (1-z)D - 1, B_1 = (1-2z)D^2 - (3-z)D,
     B_k = B_{k-1} D - B_{k-2} (D^2 z - z D).
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if k == 0:
-        return DiffOperator(IntPoly(-1), IntPoly(1, -1))
-    if k == 1:
-        return DiffOperator(ZERO, IntPoly(-3, 1), IntPoly(1, -2))
-    return op_compose(compacted_operator(k - 1), D) - op_compose(
-        compacted_operator(k - 2), D2Z - ZD
-    )
+    return extend_family(_COMPACTED, k, _compacted_operator_step)
 
 
 def build_operator(family: str, k: int) -> DiffOperator:
@@ -193,55 +193,56 @@ def build_operator(family: str, k: int) -> DiffOperator:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def relaxed_coefficients(k: int) -> tuple[IntPoly, ...]:
-    """Coefficients (index i = D^i) of the order-k relaxed operator, computed
-    from the per-coefficient recurrences rather than by composition."""
-    if k == 0:
-        return (IntPoly(1, -1),)
-    if k == 1:
-        return (IntPoly(-1), IntPoly(1, -2))
-    prev = relaxed_coefficients(k - 1)
-    prev2 = relaxed_coefficients(k - 2)
+def _at(coeffs: tuple[IntPoly, ...], i: int) -> IntPoly:
+    return coeffs[i] if 0 <= i < len(coeffs) else ZERO
 
-    def at(coeffs, i):
-        return coeffs[i] if 0 <= i < len(coeffs) else ZERO
 
+def _relaxed_coefficients_step(prev, prev2, k):
     out = [ZERO] * (k + 1)
-    out[1] = at(prev, 0) - 2 * at(prev2, 0)
+    out[1] = _at(prev, 0) - 2 * _at(prev2, 0)
     for i in range(2, k):
-        out[i] = at(prev, i - 1) - (i + 1) * at(prev2, i - 1) - Z * at(prev2, i - 2)
-    out[k] = at(prev, k - 1) - Z * at(prev2, k - 2)
+        out[i] = _at(prev, i - 1) - (i + 1) * _at(prev2, i - 1) - Z * _at(prev2, i - 2)
+    out[k] = _at(prev, k - 1) - Z * _at(prev2, k - 2)
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def compacted_coefficients(k: int) -> tuple[IntPoly, ...]:
-    """Coefficients (index i = D^(i+1), position 0 of the tuple = D^0 term)
-    of the order-(k+1) compacted operator, via the per-coefficient
-    recurrences.  Returned ascending by derivative order, like
-    DiffOperator.coeffs."""
-    if k == 0:
-        return (IntPoly(-1), IntPoly(1, -1))
-    if k == 1:
-        return (ZERO, IntPoly(-3, 1), IntPoly(1, -2))
-
-    def b(kk, i):
-        coeffs = compacted_coefficients(kk)
-        # position i+1 of the tuple holds b_{kk,i}
-        return coeffs[i + 1] if -1 <= i <= kk else ZERO
+def _compacted_coefficients_step(prev, prev2, k):
+    # position i+1 of a tuple holds b_{.,i}
+    def b(coeffs, i):
+        return _at(coeffs, i + 1)
 
     out = [ZERO] * (k + 2)
     out[1] = IntPoly(3, -2) if k % 2 == 0 else IntPoly(-3, 1)
     for i in range(1, k):
         out[i + 1] = (
-            b(k - 1, i - 1)
-            + (i + 1) * b(k - 2, i)
-            + (IntPoly(-i - 2, 1)) * b(k - 2, i - 1)
-            - Z * b(k - 2, i - 2)
+            b(prev, i - 1)
+            + (i + 1) * b(prev2, i)
+            + (IntPoly(-i - 2, 1)) * b(prev2, i - 1)
+            - Z * b(prev2, i - 2)
         )
-    out[k + 1] = b(k - 1, k - 1) - Z * b(k - 2, k - 2)
+    out[k + 1] = b(prev, k - 1) - Z * b(prev2, k - 2)
     return tuple(out)
+
+
+_RELAXED_COEFFS = [(IntPoly(1, -1),), (IntPoly(-1), IntPoly(1, -2))]
+_COMPACTED_COEFFS = [
+    (IntPoly(-1), IntPoly(1, -1)),
+    (ZERO, IntPoly(-3, 1), IntPoly(1, -2)),
+]
+
+
+def relaxed_coefficients(k: int) -> tuple[IntPoly, ...]:
+    """Coefficients (index i = D^i) of the order-k relaxed operator, computed
+    from the per-coefficient recurrences rather than by composition."""
+    return extend_family(_RELAXED_COEFFS, k, _relaxed_coefficients_step)
+
+
+def compacted_coefficients(k: int) -> tuple[IntPoly, ...]:
+    """Coefficients (index i = D^(i+1), position 0 of the tuple = D^0 term)
+    of the order-(k+1) compacted operator, via the per-coefficient
+    recurrences.  Returned ascending by derivative order, like
+    DiffOperator.coeffs."""
+    return extend_family(_COMPACTED_COEFFS, k, _compacted_coefficients_step)
 
 
 def leading_coefficient_closed_form(k: int) -> IntPoly:

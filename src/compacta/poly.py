@@ -8,7 +8,6 @@ rounding ever happens here.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb
 
 
@@ -165,24 +164,36 @@ def falling_factorial_poly(j: int, offset: int = 0) -> IntPoly:
     return acc
 
 
-@lru_cache(maxsize=None)
+def extend_family(memo: list, k: int, step):
+    """memo[k] of a family indexed by k >= 0, appending
+    step(memo[-1], memo[-2], len(memo)) until it exists.
+
+    The families are built bottom-up in a loop, so any k is reached
+    without recursion.
+    """
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    while len(memo) <= k:
+        memo.append(step(memo[-1], memo[-2], len(memo)))
+    return memo[k]
+
+
+def _chebyshev_step(p1: IntPoly, p2: IntPoly, _n: int) -> IntPoly:
+    return 2 * Z * p1 - p2
+
+
+_CHEBYSHEV_T = [ONE, Z]
+_CHEBYSHEV_U = [ONE, 2 * Z]
+
+
 def chebyshev_t(n: int) -> IntPoly:
     """Chebyshev polynomial of the first kind, T_n."""
-    if n == 0:
-        return ONE
-    if n == 1:
-        return Z
-    return 2 * Z * chebyshev_t(n - 1) - chebyshev_t(n - 2)
+    return extend_family(_CHEBYSHEV_T, n, _chebyshev_step)
 
 
-@lru_cache(maxsize=None)
 def chebyshev_u(n: int) -> IntPoly:
     """Chebyshev polynomial of the second kind, U_n."""
-    if n == 0:
-        return ONE
-    if n == 1:
-        return 2 * Z
-    return 2 * Z * chebyshev_u(n - 1) - chebyshev_u(n - 2)
+    return extend_family(_CHEBYSHEV_U, n, _chebyshev_step)
 
 
 def quarter_square_transform(p: IntPoly, m: int) -> IntPoly:

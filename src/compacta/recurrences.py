@@ -30,8 +30,9 @@ means height <= k+2 at every N.  The state per letter is (m, number of
 trailing slots not yet weighted, at most 2); the height follows from m and
 the word length.
 
-`count --n` is served by `word_counts`; `count --table` prints the table,
-and the D-finite streams are seeded from it.
+`count --n` is served by `word_counts`; `count --table` prints the table.
+The D-finite streams take their seeds n <= k+1 from the table and any
+seeds past that from the bounded `word_counts`.
 """
 
 from __future__ import annotations

@@ -1,3 +1,5 @@
+from math import factorial
+
 import pytest
 
 from compacta.cli import run
@@ -55,6 +57,12 @@ def test_sequence_relaxed_one(capsys):
     assert run(["sequence", "--family", "relaxed", "--k", "1", "--upto", "4"]) == 0
     values = [line.split()[1] for line in out_lines(capsys)]
     assert values == ["1", "1", "3", "15", "105"]
+
+
+def test_sequence_relaxed_zero_is_factorials(capsys):
+    assert run(["sequence", "--family", "relaxed", "--k", "0", "--upto", "20"]) == 0
+    values = [int(line.split()[1]) for line in out_lines(capsys)]
+    assert values == [factorial(n) for n in range(21)]
 
 
 def test_sequence_csv(capsys):

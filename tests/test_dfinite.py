@@ -7,7 +7,6 @@ from compacta.dfinite import (
     CoeffRecurrence,
     IntegralityError,
     SeededSequence,
-    SeedUnavailableError,
     closed_form_oracle,
     ode_to_recurrence,
     seed,
@@ -17,7 +16,7 @@ from compacta.dfinite import (
 from compacta.exhaustive import brute_count
 from compacta.operators import apply_operator, compacted_operator, relaxed_operator
 from compacta.poly import IntPoly
-from compacta.recurrences import build_table
+from compacta.recurrences import build_table, word_counts
 
 
 def double_factorial_odd(n):
@@ -66,7 +65,7 @@ def test_leading_integer_roots():
 def test_seeded_sequence_rejects_short_seeds():
     rec = ode_to_recurrence(relaxed_operator(3))
     with pytest.raises(ValueError):
-        SeededSequence(rec, (Fraction(1),), "egf")
+        SeededSequence(rec, (Fraction(1),))
 
 
 # --- seeding -----------------------------------------------------------------
@@ -86,14 +85,18 @@ def test_explicit_seed_count():
     assert [a * factorial(n) for n, a in enumerate(sq.seeds)] == [1, 1, 3, 16]
 
 
-def test_seed_beyond_tables_uses_brute_force():
+def test_seed_beyond_tables_uses_word_counts():
     sq = seed(2, "relaxed", n0=5)
     assert sq.seeds[4] * factorial(4) == 126  # height-filtered count at n = 4
 
 
-def test_seed_unavailable_on_tiny_budget():
-    with pytest.raises(SeedUnavailableError):
-        seed(2, "relaxed", n0=6, budget=10)
+@pytest.mark.parametrize("family", ["relaxed", "compacted"])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_seeds_far_past_the_tables(k, family):
+    # brute force at n = 13 would be far over the enumeration budget
+    sq = seed(k, family, n0=14)
+    assert [a * factorial(n) for n, a in enumerate(sq.seeds)] == word_counts(family, 13, k)
+    assert sequence_values(k, family, 40, n0=14) == sequence_values(k, family, 40)
 
 
 def test_compacted_seed_small():
@@ -102,8 +105,10 @@ def test_compacted_seed_small():
 
 
 def test_relaxed_zero_has_no_operator():
-    with pytest.raises(ValueError):
-        seed(0, "relaxed")
+    sq = seed(0, "relaxed")
+    assert [a * factorial(n) for n, a in enumerate(sq.seeds)] == [
+        factorial(n) for n in range(len(sq.seeds))
+    ]
     assert sequence_values(0, "relaxed", 6) == [factorial(n) for n in range(7)]
 
 
@@ -173,7 +178,7 @@ def test_stream_monotone_in_k():
 
 def test_non_integral_seed_raises():
     rec = ode_to_recurrence(compacted_operator(1))
-    wrong = SeededSequence(rec, (Fraction(1), Fraction(1, 3)), "egf")
+    wrong = SeededSequence(rec, (Fraction(1), Fraction(1, 3)))
     with pytest.raises(IntegralityError):
         stream(wrong, 30)
 
@@ -181,15 +186,14 @@ def test_non_integral_seed_raises():
 def test_inexact_division_raises():
     # 2 a_n + n a_{n-1} = 0 forces a half-integer at the first step
     rec = CoeffRecurrence((IntPoly(2), IntPoly(0, 1)), valid_from=0)
-    odd = SeededSequence(rec, (Fraction(1),), "egf")
+    odd = SeededSequence(rec, (Fraction(1),))
     with pytest.raises(IntegralityError):
         stream(odd, 5)
 
 
-def test_ogf_scale_streams_fractions():
-    rec = ode_to_recurrence(compacted_operator(0))  # (1-z)D - 1
-    sq = SeededSequence(rec, (Fraction(1),), "ogf")
-    assert stream(sq, 5) == [Fraction(1)] * 6
+def test_relaxed_zero_streams_factorials():
+    # B_0 = (1-z)D - 1 annihilates the relaxed k = 0 series: n! left combs
+    assert stream(seed(0, "relaxed"), 60) == [factorial(n) for n in range(61)]
 
 
 # --- closed forms ---------------------------------------------------------

@@ -1,9 +1,11 @@
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 from mpmath import mp
 
+from compacta import operators, poly
 from compacta.operators import (
     D,
     MUL_Z,
@@ -155,6 +157,36 @@ def test_orders():
 @pytest.mark.parametrize("k", range(2, 21))
 def test_coefficient_recurrences(k):
     assert coeff_recurrences_check(k) is None
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_families_build_without_recursion():
+    # every k-indexed family is extended in a loop, so building k = 60 from
+    # its base cases needs no stack beyond a small fixed headroom
+    for memo in (operators._RELAXED, operators._COMPACTED, operators._RELAXED_COEFFS,
+                 operators._COMPACTED_COEFFS, poly._CHEBYSHEV_T, poly._CHEBYSHEV_U):
+        del memo[2:]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 50)
+    try:
+        relaxed_operator(60)
+        compacted_operator(60)
+        chebyshev_t(60)
+        chebyshev_u(60)
+        assert coeff_recurrences_check(60) is None
+    finally:
+        sys.setrecursionlimit(limit)
+    assert relaxed_operator(60).order == 60
+    assert compacted_operator(60).order == 61
+    assert chebyshev_u(60) == quarter_square_transform(
+        leading_coefficient_closed_form(58), 60
+    )
 
 
 def test_coefficient_recurrence_check_needs_k_two():
