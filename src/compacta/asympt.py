@@ -25,6 +25,7 @@ from mpmath import mp, mpf
 
 from .dfinite import iter_sequence
 from .operators import build_operator
+from .poly import IntPoly
 
 WORK_PREC = 120  # bits; plenty for 1e-9 agreement checks and 3-decimal tables
 
@@ -63,11 +64,27 @@ class SingularityData:
     indicial_roots: tuple
 
 
-def dominant_root(k: int) -> mpf:
+def dominant_root(k: int, prec: int = WORK_PREC) -> mpf:
     """1 / (4 cos(pi/(k+3))^2), the smallest root of the top coefficient."""
-    with mp.workprec(WORK_PREC):
+    with mp.workprec(prec):
         c = mp.cos(mp.pi / (k + 3))
         return 1 / (4 * c * c)
+
+
+def _check_root(k: int, top: IntPoly, sub: IntPoly | None = None) -> mpf | None:
+    """Check that rho is a root of ``top``; given ``sub``, return
+    sub(rho) / top'(rho).  Evaluation at rho cancels about as many bits as
+    the coefficients carry, so both run at WORK_PREC plus the largest
+    coefficient bit length, with rho recomputed at that precision."""
+    slope = top.derivative()
+    polys = (top, slope) if sub is None else (top, slope, sub)
+    prec = WORK_PREC + max(abs(c).bit_length() for p in polys for c in p.coeffs)
+    with mp.workprec(prec):
+        rho = dominant_root(k, prec)
+        residual = abs(top(rho))
+        if residual > mpf("1e-12"):
+            raise AssertionError(f"root residual {residual} too large at k={k}")
+        return None if sub is None else sub(rho) / slope(rho)
 
 
 def singularity_data(k: int, family: str) -> SingularityData:
@@ -84,9 +101,7 @@ def singularity_data(k: int, family: str) -> SingularityData:
             if k >= 1:
                 op = build_operator("relaxed", k)
                 top = op.coeff(k)
-                residual = abs(top(rho))
-                if residual > mpf("1e-12"):
-                    raise AssertionError(f"root residual {residual} too large at k={k}")
+                _check_root(k, top)
                 # delta1 = k/2 exactly <=> 2 l_{k,k-1} = k l'_{k,k}
                 if 2 * op.coeff(k - 1) != k * top.derivative():
                     raise AssertionError(f"exact delta1 identity fails at k={k}")
@@ -99,14 +114,11 @@ def singularity_data(k: int, family: str) -> SingularityData:
 
         op = build_operator("compacted", k)
         top = op.coeff(k + 1)
-        residual = abs(top(rho))
-        if residual > mpf("1e-12"):
-            raise AssertionError(f"root residual {residual} too large at k={k}")
+        ratio = _check_root(k, top, op.coeff(k))
         closed = (
             mpf(k) / 2 + 1 - mpf(1) / (k + 3)
             - (mpf(1) / 4 - mpf(1) / (k + 3)) / cos2
         )
-        ratio = op.coeff(k)(rho) / top.derivative()(rho)
         if abs(closed - ratio) > mpf("1e-9"):
             raise AssertionError(
                 f"compacted delta1 mismatch at k={k}: closed {closed} vs ratio {ratio}"

@@ -15,7 +15,7 @@ from . import asympt, dfinite, exhaustive, recurrences
 from .compaction import uid_compact
 from .exhaustive import BudgetExceededError, GenFilter
 from .operators import build_operator, format_operator
-from .trees import ParseError, dag_to_text, parse_tree
+from .trees import ParseError, dag_to_text
 
 # streamed counts can exceed the default int->str guard by a wide margin
 if hasattr(sys, "set_int_max_str_digits"):
@@ -74,8 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_compact(args) -> int:
     with open(args.file, "r", encoding="utf-8") as fh:
-        tree = parse_tree(fh.read())
-    dag, table = uid_compact(tree)
+        dag, table = uid_compact(fh.read())
     print("label,uid_left,uid_right,uid")
     for (label, ul, ur), uid in table.rows:
         print(f"{label if label is not None else ''},{ul},{ur},{uid}")

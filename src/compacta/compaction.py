@@ -6,11 +6,13 @@ compacted DAG: every edge to an already-seen subtree becomes a pointer to
 the subtree's first occurrence in post-order, so each distinct subtree is
 stored exactly once.
 
-The pass is one post-order walk that keys each subtree by the integer
-triple (label, left value number, right value number).  A subtree's value
-number is the post-order index of its first occurrence, which is also its
-index in the DAG; the empty tree's is 0.  So the DAG comes out of the same
-walk as the value numbers.
+Hash-consing runs inside the tree reader (``trees._read``), which sees atoms
+in text order and completes nodes in post-order, so it needs no walk of its
+own and builds no ``BinaryTree``; a ``BinaryTree`` is printed with
+``print_tree`` and read the same way.  Each subtree is keyed by the integer
+triple (label, left value number, right value number).  A value number is
+the post-order index of a subtree's first occurrence, which is also its
+index in the DAG; the empty tree's is 0.
 
 Identifier numbering follows the classic value-numbering schedule: all
 subtrees of height h receive their ids before any subtree of height h+1, in
@@ -35,11 +37,19 @@ from .trees import (
     BinaryTree,
     RelaxedDag,
     SpineTree,
+    _read,
     _shape,
     dag_adjacency,
+    print_tree,
 )
 
 Triple = tuple[str | None, int, int]
+
+# A subtree reads as (value number, spine node); the spine node is None
+# unless this occurrence is the first, and False for the leaf slot, which is
+# empty but takes no pointer.
+_EMPTY = (0, None)
+_LEAF_SLOT = (0, False)
 
 
 @dataclass(frozen=True)
@@ -52,57 +62,43 @@ class UidTable:
     def counter(self) -> int:
         return len(self.rows)
 
-    def lookup(self, triple: Triple) -> int | None:
-        for row_triple, uid in self.rows:
-            if row_triple == triple:
-                return uid
-        return None
 
-
-def uid_compact(tree: BinaryTree) -> tuple[RelaxedDag, UidTable]:
-    """Compact a full binary tree; returns (dag, identifier table)."""
+def uid_compact(tree: BinaryTree | str) -> tuple[RelaxedDag, UidTable]:
+    """Compact a full binary tree, given as text or as a ``BinaryTree`` whose
+    labels are atoms of the grammar (it is printed with ``print_tree``);
+    returns (dag, identifier table).  Value numbering runs inside the text
+    reader, so malformed text raises the same ``ParseError`` as ``parse_tree``."""
+    text = tree if isinstance(tree, str) else print_tree(tree)
     vn: dict[Triple, int] = {}  # (label, vn left, vn right) -> value number
     heights = [-1]  # by value number; the empty tree has value number 0
     pointers: dict[tuple[int, str], int] = {}
-    # (value number, spine node) of each walked child whose parent is still
-    # open; the spine node is None unless this is the child's first occurrence
-    results: list[tuple[int, SpineTree | None]] = []
-    leaf_taken = False
-    stack = [] if tree.left is None and tree.label is None else [(tree, False, False)]
-    while stack:
-        node, expanded, owns_leaf = stack.pop()
-        left = node.left
-        if left is None:  # a labeled leaf has two empty children
-            left = right = LEAF
-        else:
-            right = node.right
-        # an unlabeled leaf plays the role of the empty tree (value number 0)
-        left_nil = left.left is None and left.label is None
-        right_nil = right.left is None and right.label is None
-        if not expanded:
-            # the first empty slot the walk visits is the leaf, always a left one
-            if left_nil and not leaf_taken:
-                leaf_taken = owns_leaf = True
-            stack.append((node, True, owns_leaf))
-            if not right_nil:
-                stack.append((right, False, False))
-            if not left_nil:
-                stack.append((left, False, False))
-            continue
-        right_number, right_node = (0, None) if right_nil else results.pop()
-        left_number, left_node = (0, None) if left_nil else results.pop()
-        key = (node.label, left_number, right_number)
+    leaf_slot = [_LEAF_SLOT]  # taken by the first atom read
+
+    def node(left, right, label):
+        left_number, left_spine = left
+        right_number, right_spine = right
+        key = (label, left_number, right_number)
         number = vn.get(key)
-        spine = None
-        if number is None:
-            number = vn[key] = len(vn) + 1
-            heights.append(max(heights[left_number], heights[right_number]) + 1)
-            spine = SpineTree(left_node, right_node)
-            if left_node is None and not owns_leaf:
-                pointers[(number, "left")] = left_number
-            if right_node is None:
-                pointers[(number, "right")] = right_number
-        results.append((number, spine))
+        if number is not None:
+            return number, None
+        number = vn[key] = len(vn) + 1
+        heights.append(max(heights[left_number], heights[right_number]) + 1)
+        if left_spine is None:
+            pointers[(number, "left")] = left_number
+        if right_spine is None:
+            pointers[(number, "right")] = right_number
+        return number, SpineTree(left_spine or None, right_spine)
+
+    def atom(tok: str):
+        # The first atom read is the leaf slot (a '.') or owns it (a labeled
+        # leaf): it is a left child on the leftmost path, and every node on
+        # that path is a first occurrence.
+        if tok == ")":
+            raise ValueError("unexpected ')'")
+        left = leaf_slot.pop() if leaf_slot else _EMPTY
+        return left if tok == "." else node(left, _EMPTY, tok)  # labeled leaf
+
+    _, root = _read(text, atom, node, labeled=True)
 
     # identifiers number the distinct subtrees by (height, value number)
     triples = list(vn)  # insertion order is value-number order
@@ -114,7 +110,7 @@ def uid_compact(tree: BinaryTree) -> tuple[RelaxedDag, UidTable]:
     for number in order:
         label, left, right = triples[number - 1]
         rows.append(((label, uid[left], uid[right]), uid[number]))
-    return RelaxedDag(results[0][1] if results else None, pointers), UidTable(tuple(rows))
+    return RelaxedDag(root or None, pointers), UidTable(tuple(rows))
 
 
 def unfold(dag: RelaxedDag, at: int | None = None) -> BinaryTree:

@@ -26,7 +26,6 @@ from .poly import (
     chebyshev_u,
     extend_family,
     format_poly,
-    quarter_square_transform,
 )
 
 
@@ -85,7 +84,6 @@ class DiffOperator:
 
 D = DiffOperator(ZERO, ONE)
 MUL_Z = DiffOperator(Z)
-IDENTITY = DiffOperator(ONE)
 
 
 def op_compose(a: DiffOperator, b: DiffOperator) -> DiffOperator:

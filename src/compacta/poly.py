@@ -73,12 +73,6 @@ class IntPoly:
 
     __rmul__ = __mul__
 
-    def shift(self, k: int) -> "IntPoly":
-        """Multiply by z**k."""
-        if not self.coeffs:
-            return self
-        return IntPoly(*((0,) * k + self.coeffs))
-
     def derivative(self) -> "IntPoly":
         return IntPoly(*(i * c for i, c in enumerate(self.coeffs) if i > 0))
 

@@ -33,11 +33,10 @@ from compacta.operators import (
     compacted_operator,
     equal_up_to_scalar,
     leading_coefficient_closed_form,
-    quarter_square_transform,
     relaxed_operator,
     subleading_compacted_transform_reference,
 )
-from compacta.poly import IntPoly, chebyshev_u
+from compacta.poly import IntPoly, chebyshev_u, quarter_square_transform
 from compacta.recurrences import build_table
 from compacta.trees import parse_tree, postorder_nodes, print_tree
 

@@ -52,6 +52,12 @@ def test_compacted_delta1_cross_check_to_twenty():
         singularity_data(k, "compacted")
 
 
+def test_compacted_delta1_cross_check_survives_big_coefficients():
+    # at 120 bits the coefficient ratio lost its digits to cancellation here
+    data = singularity_data(80, "compacted")
+    assert float(data.exponent) == pytest.approx(-40 + proportion_exponent(80))
+
+
 def test_indicial_roots_relaxed():
     assert singularity_data(1, "relaxed").indicial_roots == (Fraction(-1, 2),)
     assert singularity_data(2, "relaxed").indicial_roots == (-1,)

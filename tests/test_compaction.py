@@ -10,6 +10,7 @@ from compacta.compaction import (
 )
 from compacta.exhaustive import GenFilter, gen_compacted, gen_relaxed, gen_spines
 from compacta.trees import (
+    ParseError,
     RelaxedDag,
     _shape,
     dag_adjacency,
@@ -31,6 +32,14 @@ def is_cherry(dag, index):
     return node.left is None and node.right is None
 
 
+def lookup(table, triple):
+    """The uid of a table row's triple, or None."""
+    for row_triple, uid in table.rows:
+        if row_triple == triple:
+            return uid
+    return None
+
+
 EXPR = "(* (- (* x x) (* y y)) (+ (* x x) (* y y)))"
 
 
@@ -46,7 +55,7 @@ def test_uid_table_for_shared_squares_expression():
         (("*", 5, 6), 7),
     )
     assert table.counter == 7
-    assert table.lookup(("*", 1, 1)) == 3
+    assert lookup(table, ("*", 1, 1)) == 3
     assert validate(dag) is None
     assert dag.n == 7
 
@@ -252,3 +261,89 @@ def test_cached_spine_shape_never_answers_for_another_spine():
             (expected, _reference_adjacency(dag))
         del dag
     assert _shape.cache_info().maxsize == 1
+
+
+# --- hash-consing the text directly --------------------------------------------
+
+
+def _regime_tree_text(rng, size, regime):
+    """Random tree text: unlabeled ("plain"), every node labeled a or b
+    ("ab"), or every node labeled uniquely ("unique")."""
+    serial = 0
+
+    def build(size):
+        nonlocal serial
+        serial += 1
+        label = {"plain": "", "ab": rng.choice("ab"), "unique": f"v{serial}"}[regime]
+        if size == 0:
+            return label or "."
+        split = rng.randrange(size)
+        head = f"({label} " if label else "("
+        return f"{head}{build(split)} {build(size - 1 - split)})"
+
+    return build(size)
+
+
+def _spine_text(depth, leg, left):
+    opens = ("(" if left else f"({leg} ") * (depth - 1)
+    closes = (f" {leg})" if left else ")") * (depth - 1)
+    return opens + "(. .)" + closes
+
+
+def _same_compaction(text):
+    tree_dag, tree_table = uid_compact(parse_tree(text))
+    spaced = text.replace("(", "( ").replace(")", " )\n")
+    for dag, table in (uid_compact(text), uid_compact(spaced)):
+        assert table.rows == tree_table.rows
+        assert dag.pointers == tree_dag.pointers
+        assert dag_to_text(dag) == dag_to_text(tree_dag)
+    return dag, table
+
+
+@pytest.mark.parametrize("text,dag_text,pointers,rows", [
+    (".", "@0", {}, ()),
+    ("x", "(@0 @0)", {(1, "right"): 0}, ((("x", 0, 0), 1),)),
+    ("(. x)", "(@0 (@0 @0))", {(1, "left"): 0, (1, "right"): 0},
+     ((("x", 0, 0), 1), ((None, 0, 1), 2))),
+    ("(+ x .)", "((@0 @0) @0)", {(1, "right"): 0, (2, "right"): 0},
+     ((("x", 0, 0), 1), (("+", 1, 0), 2))),
+    ("(+ x x)", "((@0 @0) @1)", {(1, "right"): 0, (2, "right"): 1},
+     ((("x", 0, 0), 1), (("+", 1, 1), 2))),
+    ("(x . .)", "(@0 @0)", {(1, "right"): 0}, ((("x", 0, 0), 1),)),
+    ("(f (g x y) x)", "(((@0 @0) (@0 @0)) @1)",
+     {(1, "right"): 0, (2, "left"): 0, (2, "right"): 0, (4, "right"): 1},
+     ((("x", 0, 0), 1), (("y", 0, 0), 2), (("g", 1, 2), 3), (("f", 3, 1), 4))),
+])
+def test_text_compacts_like_its_tree_on_edge_cases(text, dag_text, pointers, rows):
+    dag, table = _same_compaction(text)
+    assert (dag_to_text(dag), dag.pointers, table.rows) == (dag_text, pointers, rows)
+    assert validate(dag) is None
+
+
+@pytest.mark.parametrize("regime", ["plain", "ab", "unique"])
+def test_text_compacts_like_its_tree_on_random_trees(regime):
+    rng = random.Random(f"text:{regime}")
+    for _ in range(150):
+        _same_compaction(_regime_tree_text(rng, rng.randint(0, 40), regime))
+    _same_compaction(_regime_tree_text(rng, 2000, regime))
+
+
+@pytest.mark.parametrize("leg", [".", "(. .)"], ids=["comb", "caterpillar"])
+@pytest.mark.parametrize("left", [True, False], ids=["left", "right"])
+def test_text_compacts_like_its_tree_on_spines(leg, left):
+    for depth in (1, 2, 3, 17, 300):
+        dag, table = _same_compaction(_spine_text(depth, leg, left))
+        assert dag.n == table.counter == depth
+
+
+@pytest.mark.parametrize("text", [
+    "", "(", ")", "(x .)", "(. .", "(. . .)", ". .", "(. .))", "(+ x", "((. .) (. .)",
+    "(. (x))", "(@1 . .)",
+])
+def test_malformed_text_raises_the_parse_error_of_parse_tree(text):
+    with pytest.raises(ParseError) as expected:
+        parse_tree(text)
+    with pytest.raises(ParseError) as got:
+        uid_compact(text)
+    assert str(got.value) == str(expected.value)
+    assert got.value.offset == expected.value.offset
