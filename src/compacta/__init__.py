@@ -13,9 +13,7 @@ oracles.
 from .asympt import (
     FitResult,
     SingularityData,
-    exponent_regression,
     fit_constant,
-    proportion_exponent,
     singularity_data,
     table1,
 )
@@ -51,10 +49,7 @@ from .operators import (
     build_operator,
     coeff_recurrences_check,
     compacted_operator,
-    equal_up_to_scalar,
-    leading_coefficient_closed_form,
     op_compose,
-    reduce_order,
     relaxed_operator,
 )
 from .poly import IntPoly, chebyshev_t, chebyshev_u

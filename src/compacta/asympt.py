@@ -7,12 +7,14 @@ trees (a rational, certified by an exact polynomial identity) and an
 irrational correction for compacted trees, read off the indicial data of
 the differential equation at that root.
 
-The dominant root is taken from the trigonometric closed form, with a
-residual evaluation of the top coefficient as a sanity check; no general
-root-finder is involved.  The constant in front has no closed form except
-in the smallest compacted case, so it is estimated by Richardson
-extrapolation of u_n = count / (n! g^n n^e) along a dyadic ladder, in
-high-precision log-domain arithmetic on the exact integers.
+The dominant root and delta1 come from trigonometric closed forms, with no
+root-finder and no floating-point check: exact integer-polynomial identities
+show that the top coefficient is the quarter-square fold of U_{k+2}, whose
+smallest root is rho, and tie the subleading coefficient to delta1.  The
+constant in front has no closed form except in the smallest compacted case,
+so it is estimated by Richardson extrapolation of u_n = count / (n! g^n n^e)
+along a dyadic ladder, in high-precision log-domain arithmetic on the exact
+integers.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from mpmath import mp, mpf
 
 from .dfinite import iter_sequence
 from .operators import build_operator
-from .poly import IntPoly
+from .poly import IntPoly, binomial_alternating_poly
 
-WORK_PREC = 120  # bits; plenty for 1e-9 agreement checks and 3-decimal tables
+WORK_PREC = 120  # bits; plenty for the closed forms, the fits and 3-decimal tables
 
 TABLE1_REFERENCE = {
     # k: (growth, compacted exponent, relaxed exponent); the exact
@@ -64,27 +66,31 @@ class SingularityData:
     indicial_roots: tuple
 
 
-def dominant_root(k: int, prec: int = WORK_PREC) -> mpf:
+def dominant_root(k: int) -> mpf:
     """1 / (4 cos(pi/(k+3))^2), the smallest root of the top coefficient."""
-    with mp.workprec(prec):
+    with mp.workprec(WORK_PREC):
         c = mp.cos(mp.pi / (k + 3))
         return 1 / (4 * c * c)
 
 
-def _check_root(k: int, top: IntPoly, sub: IntPoly | None = None) -> mpf | None:
-    """Check that rho is a root of ``top``; given ``sub``, return
-    sub(rho) / top'(rho).  Evaluation at rho cancels about as many bits as
-    the coefficients carry, so both run at WORK_PREC plus the largest
-    coefficient bit length, with rho recomputed at that precision."""
+def _check_top(k: int, top: IntPoly) -> None:
+    """The top coefficient is the fold of U_{k+2}, so its smallest root is rho."""
+    if top != binomial_alternating_poly(k):
+        raise AssertionError(f"top coefficient is not the Chebyshev fold at k={k}")
+
+
+def _check_compacted_delta1(k: int, top: IntPoly, sub: IntPoly) -> None:
+    """T divides P = 2(k+3) S - ((k+1)(k+4) - 2(k-1) z) T', so at every root
+    of T, S / T' = ((k+1)(k+4) - 2(k-1) z) / (2(k+3)): the closed form of
+    delta1 at z = rho.  Tested by exact pseudo-division (P times a power of
+    T's leading coefficient is an exact multiple of T)."""
     slope = top.derivative()
-    polys = (top, slope) if sub is None else (top, slope, sub)
-    prec = WORK_PREC + max(abs(c).bit_length() for p in polys for c in p.coeffs)
-    with mp.workprec(prec):
-        rho = dominant_root(k, prec)
-        residual = abs(top(rho))
-        if residual > mpf("1e-12"):
-            raise AssertionError(f"root residual {residual} too large at k={k}")
-        return None if sub is None else sub(rho) / slope(rho)
+    p = 2 * (k + 3) * sub - IntPoly((k + 1) * (k + 4), -2 * (k - 1)) * slope
+    lead = top.coeffs[-1] ** max(p.degree - top.degree + 1, 0)
+    try:
+        (p * lead).divexact(top)
+    except ValueError:
+        raise AssertionError(f"exact delta1 identity fails at k={k}") from None
 
 
 def singularity_data(k: int, family: str) -> SingularityData:
@@ -101,7 +107,7 @@ def singularity_data(k: int, family: str) -> SingularityData:
             if k >= 1:
                 op = build_operator("relaxed", k)
                 top = op.coeff(k)
-                _check_root(k, top)
+                _check_top(k, top)
                 # delta1 = k/2 exactly <=> 2 l_{k,k-1} = k l'_{k,k}
                 if 2 * op.coeff(k - 1) != k * top.derivative():
                     raise AssertionError(f"exact delta1 identity fails at k={k}")
@@ -114,29 +120,15 @@ def singularity_data(k: int, family: str) -> SingularityData:
 
         op = build_operator("compacted", k)
         top = op.coeff(k + 1)
-        ratio = _check_root(k, top, op.coeff(k))
-        closed = (
+        _check_top(k, top)
+        _check_compacted_delta1(k, top, op.coeff(k))
+        delta1 = (
             mpf(k) / 2 + 1 - mpf(1) / (k + 3)
             - (mpf(1) / 4 - mpf(1) / (k + 3)) / cos2
         )
-        if abs(closed - ratio) > mpf("1e-9"):
-            raise AssertionError(
-                f"compacted delta1 mismatch at k={k}: closed {closed} vs ratio {ratio}"
-            )
-        delta1 = closed
         exponent = delta1 - k - 1
         roots = tuple(range(k)) + (k - delta1,)
         return SingularityData(k, family, rho, growth, delta1, exponent, roots)
-
-
-def proportion_exponent(k: int) -> float:
-    """Power of n in (compacted count) / (relaxed count) as n grows."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    with mp.workprec(WORK_PREC):
-        cos2 = mp.cos(mp.pi / (k + 3)) ** 2
-        value = -mpf(1) / (k + 3) - (mpf(1) / 4 - mpf(1) / (k + 3)) / cos2
-        return float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -276,26 +268,3 @@ def fit_constant(k: int, family: str, n_max: int, order: int = 3) -> FitResult:
             tuple((n, float(u)) for n, u in points),
             tuple(float(d) for d in diag),
         )
-
-
-def exponent_regression(k: int, family: str, n_lo: int = 500, n_hi: int = 2000,
-                        step: int = 25) -> float:
-    """Least-squares slope of log(count/(n! growth^n)) against log n.
-
-    Recovers the critical exponent empirically from the exact stream.
-    """
-    data = singularity_data(k, family)
-    xs, ys = [], []
-    with mp.workprec(WORK_PREC):
-        for n, count in iter_sequence(k, family):
-            if n >= n_lo and (n - n_lo) % step == 0:
-                xs.append(float(mp.log(n)))
-                ys.append(float(scaled_ratio_log(count, n, data.growth, 0)))
-            if n >= n_hi:
-                break
-    m = len(xs)
-    mean_x = sum(xs) / m
-    mean_y = sum(ys) / m
-    sxx = sum((x - mean_x) ** 2 for x in xs)
-    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    return sxy / sxx

@@ -236,8 +236,7 @@ def _cmd_selftest(args) -> int:
     check("closed forms n<=20", cf_ok)
 
     from .operators import coeff_recurrences_check
-    check("operator coefficient recurrences k<=12",
-          all(coeff_recurrences_check(k) is None for k in range(2, 13)))
+    check("operator coefficient recurrences k<=12", coeff_recurrences_check(12) is None)
 
     check("growth/exponent table", all(r.matches_reference for r in asympt.table1()))
     print(f"{'-' * 40}\n{'OK' if failures == 0 else f'{failures} FAILURES'}")
@@ -261,10 +260,8 @@ def run(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ParseError, dfinite.IntegralityError, ValueError, OSError) as exc:
+    except (BudgetExceededError, ParseError, dfinite.IntegralityError, ValueError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -4,16 +4,18 @@ An operator is kept in right-canonical form sum_i p_i(z) * D^i (all
 derivatives to the right of the polynomials).  Composition normalizes with
 the commutation rule D * p(z) = p(z) * D + p'(z).
 
-Two operator families are built here by recurrence on the right-height bound:
-one annihilating the exponential generating function of relaxed binary
-trees, one annihilating that of compacted binary trees.  Their canonical
-coefficients satisfy closed per-index recurrences and Chebyshev closed
-forms, which the checker functions verify independently of the composition
-path.
+Two operator families are indexed by the right-height bound k: one
+annihilating the exponential generating function of relaxed binary trees,
+one annihilating that of compacted binary trees.  ``build_operator`` builds
+them from closed per-coefficient recurrences, two members at a time.  Their
+defining compositions are kept as the independent engine that
+``coeff_recurrences_check`` compares against; neither engine keeps members
+between calls.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from math import comb
 
 from .poly import (
@@ -21,11 +23,9 @@ from .poly import (
     ONE,
     Z,
     ZERO,
-    binomial_alternating_poly,
-    chebyshev_t,
-    chebyshev_u,
     extend_family,
     format_poly,
+    iter_family,
 )
 
 
@@ -139,11 +139,11 @@ def _compacted_operator_step(b1, b2, _k):
     return op_compose(b1, D) - op_compose(b2, D2Z - ZD)
 
 
-_RELAXED = [DiffOperator(IntPoly(1, -1)), DiffOperator(IntPoly(-1), IntPoly(1, -2))]
-_COMPACTED = [
+_RELAXED = (DiffOperator(IntPoly(1, -1)), DiffOperator(IntPoly(-1), IntPoly(1, -2)))
+_COMPACTED = (
     DiffOperator(IntPoly(-1), IntPoly(1, -1)),
     DiffOperator(ZERO, IntPoly(-3, 1), IntPoly(1, -2)),
-]
+)
 
 
 def relaxed_operator(k: int) -> DiffOperator:
@@ -169,9 +169,9 @@ def build_operator(family: str, k: int) -> DiffOperator:
     """family in {"relaxed", "compacted"} (CLI aliases "L" / "M" accepted)."""
     key = family.lower()
     if key in ("relaxed", "l"):
-        return relaxed_operator(k)
+        return DiffOperator(*relaxed_coefficients(k))
     if key in ("compacted", "m"):
-        return compacted_operator(k)
+        return DiffOperator(*compacted_coefficients(k))
     raise ValueError(f"unknown operator family: {family!r}")
 
 
@@ -222,11 +222,8 @@ def _compacted_coefficients_step(prev, prev2, k):
     return tuple(out)
 
 
-_RELAXED_COEFFS = [(IntPoly(1, -1),), (IntPoly(-1), IntPoly(1, -2))]
-_COMPACTED_COEFFS = [
-    (IntPoly(-1), IntPoly(1, -1)),
-    (ZERO, IntPoly(-3, 1), IntPoly(1, -2)),
-]
+_RELAXED_COEFFS = tuple(op.coeffs for op in _RELAXED)
+_COMPACTED_COEFFS = tuple(op.coeffs for op in _COMPACTED)
 
 
 def relaxed_coefficients(k: int) -> tuple[IntPoly, ...]:
@@ -243,99 +240,30 @@ def compacted_coefficients(k: int) -> tuple[IntPoly, ...]:
     return extend_family(_COMPACTED_COEFFS, k, _compacted_coefficients_step)
 
 
-def leading_coefficient_closed_form(k: int) -> IntPoly:
-    """Top coefficient of either order-k family operator, in closed form."""
-    return binomial_alternating_poly(k)
-
-
-def subleading_compacted_transform_reference(m: int) -> IntPoly:
-    """h_m(x) = [(m-3-2(m^2+m-2)x^2) T_m(x) + (1+2(m-1)x^2) U_m(x)] / (2(x^2-1)).
-
-    Exact target for the quarter-square fold of the subleading compacted
-    coefficient; the division is exact.
-    """
-    num = (IntPoly(m - 3, 0, -2 * (m * m + m - 2)) * chebyshev_t(m)) + (
-        IntPoly(1, 0, 2 * (m - 1)) * chebyshev_u(m)
-    )
-    return num.divexact(IntPoly(-2, 0, 2))
-
-
 def coeff_recurrences_check(k: int) -> str | None:
     """Cross-check composed operators against the coefficient recurrences.
 
-    Compares every coefficient of the composed relaxed/compacted operators of
-    index k with the independently recurred polynomials, and checks the two
-    families share the same top coefficient.  Returns None when everything
-    matches, else a message naming the first mismatching (k, i).
+    For every index 2..k, in one bottom-up pass, compares every coefficient
+    of the composed relaxed/compacted operators with the independently
+    recurred polynomials, and checks the two families share the same top
+    coefficient.  Returns None when everything matches, else a message
+    naming the first mismatching (k, i).
     """
     if k < 2:
         raise ValueError("check needs k >= 2")
-    rel = relaxed_operator(k)
-    rel_rec = relaxed_coefficients(k)
-    for i in range(k + 1):
-        if rel.coeff(i) != rel_rec[i]:
-            return f"relaxed coefficient mismatch at (k={k}, i={i})"
-    comp = compacted_operator(k)
-    comp_rec = compacted_coefficients(k)
-    for i in range(k + 2):
-        if comp.coeff(i) != comp_rec[i]:
-            return f"compacted coefficient mismatch at (k={k}, i={i - 1})"
-    if comp.coeff(k + 1) != rel.coeff(k):
-        return f"top coefficients differ between families at k={k}"
+    families = zip(
+        iter_family(_RELAXED, _relaxed_operator_step),
+        iter_family(_RELAXED_COEFFS, _relaxed_coefficients_step),
+        iter_family(_COMPACTED, _compacted_operator_step),
+        iter_family(_COMPACTED_COEFFS, _compacted_coefficients_step),
+    )
+    for j, (rel, rel_rec, comp, comp_rec) in enumerate(islice(families, 2, k + 1), 2):
+        for i in range(j + 1):
+            if rel.coeff(i) != rel_rec[i]:
+                return f"relaxed coefficient mismatch at (k={j}, i={i})"
+        for i in range(j + 2):
+            if comp.coeff(i) != comp_rec[i]:
+                return f"compacted coefficient mismatch at (k={j}, i={i - 1})"
+        if comp.coeff(j + 1) != rel.coeff(j):
+            return f"top coefficients differ between families at k={j}"
     return None
-
-
-def reduce_order(op: DiffOperator) -> tuple[DiffOperator, int]:
-    """Strip identically-zero low-order coefficients.
-
-    Returns (reduced, shift): the reduced operator annihilates the shift-th
-    derivative of anything the original annihilates.
-    """
-    shift = 0
-    coeffs = op.coeffs
-    while shift < len(coeffs) and coeffs[shift].is_zero():
-        shift += 1
-    return DiffOperator(*coeffs[shift:]), shift
-
-
-def equal_up_to_scalar(a: DiffOperator, b: DiffOperator) -> bool:
-    """True if a = (p/q) b for some nonzero rational p/q."""
-    if a.is_zero() or b.is_zero():
-        return a.is_zero() and b.is_zero()
-    if a.order != b.order:
-        return False
-    pa = a.coeffs[-1]
-    pb = b.coeffs[-1]
-    # cross-multiply with the leading coefficients' top terms
-    ca, cb = pa.coeffs[-1], pb.coeffs[-1]
-    return all(a.coeff(i) * cb == b.coeff(i) * ca for i in range(a.order + 1))
-
-
-def apply_operator(op: DiffOperator, series, terms: int):
-    """Apply the operator to an ordinary power series (list of Fractions).
-
-    Returns the first ``terms`` coefficients of op(f); requires the input to
-    carry at least terms + op.order coefficients.
-    """
-    if op.is_zero():
-        return [0] * terms
-    need = terms + op.order
-    if len(series) < need:
-        raise ValueError(f"need {need} input coefficients, got {len(series)}")
-    out = [0] * terms
-    for i, p in enumerate(op.coeffs):
-        if p.is_zero():
-            continue
-        # i-th derivative of the series
-        deriv = []
-        for n in range(need - i):
-            c = series[n + i]
-            for t in range(n + 1, n + i + 1):
-                c *= t
-            deriv.append(c)
-        for j, pc in enumerate(p.coeffs):
-            if pc == 0:
-                continue
-            for n in range(terms - j):
-                out[n + j] += pc * deriv[n]
-    return out

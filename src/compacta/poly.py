@@ -8,6 +8,7 @@ rounding ever happens here.
 
 from __future__ import annotations
 
+from itertools import count, islice
 from math import comb
 
 
@@ -158,36 +159,39 @@ def falling_factorial_poly(j: int, offset: int = 0) -> IntPoly:
     return acc
 
 
-def extend_family(memo: list, k: int, step):
-    """memo[k] of a family indexed by k >= 0, appending
-    step(memo[-1], memo[-2], len(memo)) until it exists.
+def iter_family(base: tuple, step):
+    """Members 0, 1, 2, ... of a family indexed by k >= 0: the two members
+    of ``base``, then step(member k-1, member k-2, k) for k >= 2.
 
-    The families are built bottom-up in a loop, so any k is reached
-    without recursion.
+    Only the last two members are held, so memory does not grow with k.
     """
+    prev2, prev = base
+    yield prev2
+    for k in count(2):
+        yield prev
+        prev2, prev = prev, step(prev, prev2, k)
+
+
+def extend_family(base: tuple, k: int, step):
+    """Member k of the family ``iter_family(base, step)``, built bottom-up in
+    a loop, so any k is reached without recursion."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    while len(memo) <= k:
-        memo.append(step(memo[-1], memo[-2], len(memo)))
-    return memo[k]
+    return next(islice(iter_family(base, step), k, None))
 
 
 def _chebyshev_step(p1: IntPoly, p2: IntPoly, _n: int) -> IntPoly:
     return 2 * Z * p1 - p2
 
 
-_CHEBYSHEV_T = [ONE, Z]
-_CHEBYSHEV_U = [ONE, 2 * Z]
-
-
 def chebyshev_t(n: int) -> IntPoly:
     """Chebyshev polynomial of the first kind, T_n."""
-    return extend_family(_CHEBYSHEV_T, n, _chebyshev_step)
+    return extend_family((ONE, Z), n, _chebyshev_step)
 
 
 def chebyshev_u(n: int) -> IntPoly:
     """Chebyshev polynomial of the second kind, U_n."""
-    return extend_family(_CHEBYSHEV_U, n, _chebyshev_step)
+    return extend_family((ONE, 2 * Z), n, _chebyshev_step)
 
 
 def quarter_square_transform(p: IntPoly, m: int) -> IntPoly:

@@ -73,6 +73,7 @@ class BinaryTree:
 LEAF = BinaryTree()
 
 
+_ATOM = re.compile(r"[^\s()]+")
 _TOKEN = re.compile(r"[()]|[^\s()]+")  # parens, '.', '@k' and atoms
 
 
@@ -164,12 +165,22 @@ def _print(root, split) -> str:
 
 
 def _tree_parts(t: BinaryTree):
+    label = t.label
+    if label is not None and (
+        label == "." or not _ATOM.fullmatch(label)
+        or (t.left is not None and label.startswith("@"))
+    ):
+        raise ValueError(f"label {label!r} would not read back as itself")
     if t.left is None:
-        return t.label if t.label is not None else "."
-    return ("(" if t.label is None else f"({t.label} ", t.left, t.right)
+        return label if label is not None else "."
+    return ("(" if label is None else f"({label} ", t.left, t.right)
 
 
 def print_tree(t: BinaryTree) -> str:
+    """Text of ``t`` in the tree grammar.  Raises ValueError naming a label
+    that would not read back as itself: a label is one token without blanks
+    or parentheses other than '.', and a node label does not start with '@'.
+    """
     return _print(t, _tree_parts)
 
 

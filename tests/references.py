@@ -1,0 +1,113 @@
+"""Reference oracles used only by the tests.
+
+Each one is an independent way to compute or compare what the package
+computes; none has a caller in the package itself.
+"""
+
+from mpmath import mp, mpf
+
+from compacta.asympt import WORK_PREC, scaled_ratio_log, singularity_data
+from compacta.dfinite import iter_sequence
+from compacta.operators import DiffOperator
+from compacta.poly import IntPoly, chebyshev_t, chebyshev_u
+
+
+def apply_operator(op: DiffOperator, series, terms: int):
+    """Apply the operator to an ordinary power series (list of Fractions).
+
+    Returns the first ``terms`` coefficients of op(f); requires the input to
+    carry at least terms + op.order coefficients.
+    """
+    if op.is_zero():
+        return [0] * terms
+    need = terms + op.order
+    if len(series) < need:
+        raise ValueError(f"need {need} input coefficients, got {len(series)}")
+    out = [0] * terms
+    for i, p in enumerate(op.coeffs):
+        if p.is_zero():
+            continue
+        # i-th derivative of the series
+        deriv = []
+        for n in range(need - i):
+            c = series[n + i]
+            for t in range(n + 1, n + i + 1):
+                c *= t
+            deriv.append(c)
+        for j, pc in enumerate(p.coeffs):
+            if pc == 0:
+                continue
+            for n in range(terms - j):
+                out[n + j] += pc * deriv[n]
+    return out
+
+
+def equal_up_to_scalar(a: DiffOperator, b: DiffOperator) -> bool:
+    """True if a = (p/q) b for some nonzero rational p/q."""
+    if a.is_zero() or b.is_zero():
+        return a.is_zero() and b.is_zero()
+    if a.order != b.order:
+        return False
+    pa = a.coeffs[-1]
+    pb = b.coeffs[-1]
+    # cross-multiply with the leading coefficients' top terms
+    ca, cb = pa.coeffs[-1], pb.coeffs[-1]
+    return all(a.coeff(i) * cb == b.coeff(i) * ca for i in range(a.order + 1))
+
+
+def reduce_order(op: DiffOperator) -> tuple[DiffOperator, int]:
+    """Strip identically-zero low-order coefficients.
+
+    Returns (reduced, shift): the reduced operator annihilates the shift-th
+    derivative of anything the original annihilates.
+    """
+    shift = 0
+    coeffs = op.coeffs
+    while shift < len(coeffs) and coeffs[shift].is_zero():
+        shift += 1
+    return DiffOperator(*coeffs[shift:]), shift
+
+
+def subleading_compacted_transform_reference(m: int) -> IntPoly:
+    """h_m(x) = [(m-3-2(m^2+m-2)x^2) T_m(x) + (1+2(m-1)x^2) U_m(x)] / (2(x^2-1)).
+
+    Exact target for the quarter-square fold of the subleading compacted
+    coefficient; the division is exact.
+    """
+    num = (IntPoly(m - 3, 0, -2 * (m * m + m - 2)) * chebyshev_t(m)) + (
+        IntPoly(1, 0, 2 * (m - 1)) * chebyshev_u(m)
+    )
+    return num.divexact(IntPoly(-2, 0, 2))
+
+
+def proportion_exponent(k: int) -> float:
+    """Power of n in (compacted count) / (relaxed count) as n grows."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    with mp.workprec(WORK_PREC):
+        cos2 = mp.cos(mp.pi / (k + 3)) ** 2
+        value = -mpf(1) / (k + 3) - (mpf(1) / 4 - mpf(1) / (k + 3)) / cos2
+        return float(value)
+
+
+def exponent_regression(k: int, family: str, n_lo: int = 500, n_hi: int = 2000,
+                        step: int = 25) -> float:
+    """Least-squares slope of log(count/(n! growth^n)) against log n.
+
+    Recovers the critical exponent empirically from the exact stream.
+    """
+    data = singularity_data(k, family)
+    xs, ys = [], []
+    with mp.workprec(WORK_PREC):
+        for n, count in iter_sequence(k, family):
+            if n >= n_lo and (n - n_lo) % step == 0:
+                xs.append(float(mp.log(n)))
+                ys.append(float(scaled_ratio_log(count, n, data.growth, 0)))
+            if n >= n_hi:
+                break
+    m = len(xs)
+    mean_x = sum(xs) / m
+    mean_y = sum(ys) / m
+    sxx = sum((x - mean_x) ** 2 for x in xs)
+    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
+    return sxy / sxx

@@ -28,17 +28,16 @@ from compacta.exhaustive import (
     count_relaxed_spine_product,
     gen_relaxed,
 )
-from compacta.operators import (
-    DiffOperator,
-    compacted_operator,
-    equal_up_to_scalar,
-    leading_coefficient_closed_form,
-    relaxed_operator,
-    subleading_compacted_transform_reference,
+from compacta.operators import DiffOperator, compacted_operator, relaxed_operator
+from compacta.poly import (
+    IntPoly,
+    binomial_alternating_poly as leading_coefficient_closed_form,
+    chebyshev_u,
+    quarter_square_transform,
 )
-from compacta.poly import IntPoly, chebyshev_u, quarter_square_transform
 from compacta.recurrences import build_table
 from compacta.trees import parse_tree, postorder_nodes, print_tree
+from references import equal_up_to_scalar, subleading_compacted_transform_reference
 
 COMPACTED_COUNTS = [1, 1, 3, 15, 111, 1119, 14487, 230943, 4395855, 97608831]
 RELAXED_COUNTS = [1, 1, 3, 16, 127, 1363, 18628, 311250, 6173791, 142190703]

@@ -4,17 +4,19 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
+from compacta import asympt
 from compacta.asympt import (
     FitResult,
     TABLE1_REFERENCE,
     _richardson,
     dominant_root,
-    exponent_regression,
     fit_constant,
-    proportion_exponent,
     singularity_data,
     table1,
 )
+from compacta.operators import DiffOperator
+from compacta.poly import IntPoly
+from references import exponent_regression, proportion_exponent
 
 
 def test_data_relaxed_two():
@@ -56,6 +58,35 @@ def test_compacted_delta1_cross_check_survives_big_coefficients():
     # at 120 bits the coefficient ratio lost its digits to cancellation here
     data = singularity_data(80, "compacted")
     assert float(data.exponent) == pytest.approx(-40 + proportion_exponent(80))
+
+
+def _corrupt_coefficient(monkeypatch, index):
+    """Make singularity_data see its operator with 1 added to the constant
+    term of the coefficient at ``index(k)``."""
+    build = asympt.build_operator
+
+    def corrupted(family, k):
+        coeffs = list(build(family, k).coeffs)
+        coeffs[index(k)] += IntPoly(1)
+        return DiffOperator(*coeffs)
+
+    monkeypatch.setattr(asympt, "build_operator", corrupted)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 7, 40])
+def test_corrupted_subleading_coefficient_fails_compacted_certification(monkeypatch, k):
+    _corrupt_coefficient(monkeypatch, lambda k: k)
+    with pytest.raises(AssertionError):
+        singularity_data(k, "compacted")
+
+
+@pytest.mark.parametrize("family, top", [("relaxed", lambda k: k),
+                                         ("compacted", lambda k: k + 1)])
+@pytest.mark.parametrize("k", [1, 2, 7, 40])
+def test_corrupted_top_coefficient_fails_certification(monkeypatch, family, top, k):
+    _corrupt_coefficient(monkeypatch, top)
+    with pytest.raises(AssertionError):
+        singularity_data(k, family)
 
 
 def test_indicial_roots_relaxed():

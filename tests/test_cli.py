@@ -152,6 +152,14 @@ def test_asymptotics_output(capsys):
     assert "exponent: -1.777777777778" in text
 
 
+def test_asymptotics_certifies_compacted_two_hundred(capsys):
+    # the float delta1 cross-check lost its digits to cancellation here
+    assert run(["asymptotics", "--family", "compacted", "--k", "200"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "k: 200" in captured.out
+
+
 def test_asymptotics_fit_and_plot(tmp_path, capsys):
     plot = tmp_path / "u.csv"
     assert run(["asymptotics", "--k", "0", "--family", "relaxed", "--fit",

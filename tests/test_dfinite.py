@@ -14,9 +14,10 @@ from compacta.dfinite import (
     stream,
 )
 from compacta.exhaustive import brute_count
-from compacta.operators import apply_operator, compacted_operator, relaxed_operator
+from compacta.operators import compacted_operator, relaxed_operator
 from compacta.poly import IntPoly
 from compacta.recurrences import build_table, word_counts
+from references import apply_operator
 
 
 def double_factorial_odd(n):

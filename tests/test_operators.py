@@ -1,32 +1,37 @@
 import sys
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, strategies as st
 from mpmath import mp
 
-from compacta import operators, poly
+from compacta import operators
 from compacta.operators import (
     D,
     MUL_Z,
     DiffOperator,
-    apply_operator,
+    build_operator,
     coeff_recurrences_check,
     compacted_operator,
-    equal_up_to_scalar,
     format_operator,
-    leading_coefficient_closed_form,
     op_compose,
-    reduce_order,
     relaxed_operator,
-    subleading_compacted_transform_reference,
 )
 from compacta.poly import (
     IntPoly,
+    binomial_alternating_poly as leading_coefficient_closed_form,
     chebyshev_t,
     chebyshev_u,
     format_poly,
+    iter_family,
     quarter_square_transform,
+)
+from references import (
+    apply_operator,
+    equal_up_to_scalar,
+    reduce_order,
+    subleading_compacted_transform_reference,
 )
 
 # operators as displayed by their defining differential equations
@@ -159,6 +164,34 @@ def test_coefficient_recurrences(k):
     assert coeff_recurrences_check(k) is None
 
 
+def test_built_operators_equal_the_compositions():
+    # one walk of both composed families, the one relaxed_operator and
+    # compacted_operator take, instead of one walk per k
+    composed = zip(iter_family(operators._RELAXED, operators._relaxed_operator_step),
+                   iter_family(operators._COMPACTED, operators._compacted_operator_step))
+    for k, (rel, comp) in enumerate(islice(composed, 41)):
+        assert build_operator("relaxed", k) == rel, k
+        assert build_operator("compacted", k) == comp, k
+
+
+@pytest.mark.parametrize("family, step, message", [
+    ("relaxed", "_relaxed_coefficients_step",
+     "relaxed coefficient mismatch at (k=5, i=1)"),
+    ("compacted", "_compacted_coefficients_step",
+     "compacted coefficient mismatch at (k=5, i=0)"),
+])
+def test_recurrence_check_reports_a_bad_step_below_its_argument(
+        monkeypatch, family, step, message):
+    real = getattr(operators, step)
+
+    def corrupted(prev, prev2, k):
+        out = real(prev, prev2, k)
+        return out[:1] + (out[1] + IntPoly(1),) + out[2:] if k == 5 else out
+
+    monkeypatch.setattr(operators, step, corrupted)
+    assert coeff_recurrences_check(12) == message
+
+
 def _stack_depth():
     frame, depth = sys._getframe(), 0
     while frame is not None:
@@ -169,9 +202,6 @@ def _stack_depth():
 def test_families_build_without_recursion():
     # every k-indexed family is extended in a loop, so building k = 60 from
     # its base cases needs no stack beyond a small fixed headroom
-    for memo in (operators._RELAXED, operators._COMPACTED, operators._RELAXED_COEFFS,
-                 operators._COMPACTED_COEFFS, poly._CHEBYSHEV_T, poly._CHEBYSHEV_U):
-        del memo[2:]
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + 50)
     try:

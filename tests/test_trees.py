@@ -1,8 +1,10 @@
+import re
 import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
+from compacta.compaction import uid_compact
 from compacta.trees import (
     LEAF,
     BinaryTree,
@@ -66,6 +68,26 @@ unlabeled_trees = st.recursive(
 @given(unlabeled_trees)
 def test_print_parse_round_trip(t):
     assert parse_tree(print_tree(t)) == t
+
+
+@pytest.mark.parametrize("tree, label", [
+    (BinaryTree(LEAF, BinaryTree(label=".")), "."),
+    (BinaryTree(label="a b"), "a b"),
+    (BinaryTree(LEAF, LEAF, "(x"), "(x"),
+    (BinaryTree(LEAF, LEAF, "@1"), "@1"),
+    (BinaryTree(label=""), ""),
+])
+def test_print_rejects_labels_that_do_not_read_back(tree, label):
+    for write in (print_tree, uid_compact):
+        with pytest.raises(ValueError, match=re.escape(repr(label))):
+            write(tree)
+
+
+@pytest.mark.parametrize("text", ["x", "@1", "(+ x @1)", "(a.b . .)"])
+def test_printed_labels_read_back(text):
+    tree = parse_tree(text)
+    assert print_tree(tree) == text
+    assert parse_tree(print_tree(tree)) == tree
 
 
 # --- spines, post-order, right height -------------------------------------
