@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from . import asympt, dfinite, exhaustive, recurrences
@@ -17,7 +18,8 @@ from .exhaustive import BudgetExceededError, GenFilter
 from .operators import build_operator, format_operator
 from .trees import ParseError, dag_to_text
 
-# streamed counts can exceed the default int->str guard by a wide margin
+# `count --n` prints big-int counts past the default int->str guard
+# (`sequence` prints Decimals, which the guard does not limit)
 if hasattr(sys, "set_int_max_str_digits"):
     sys.set_int_max_str_digits(10_000_000)
 
@@ -118,7 +120,13 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_sequence(args) -> int:
-    values = dfinite.sequence_values(args.k, args.family, args.upto)
+    """Print each count as the stream computes it, in exact Decimal.
+
+    Only the recurrence window is held, not the whole sequence.  Bad flags
+    fail before the first line; a term that fails the integrality check
+    ends the command with exit 1 after the lines before it are printed.
+    """
+    values = dfinite.sequence_values(args.k, args.family, args.upto, num=Decimal)
     if args.csv:
         print("n,value")
         for n, v in enumerate(values):
@@ -138,6 +146,8 @@ def _cmd_operator(args) -> int:
 
 def _cmd_asymptotics(args) -> int:
     data = asympt.singularity_data(args.k, args.family)
+    # fit before printing, so that a bad --upto prints nothing to stdout
+    fit = asympt.fit_constant(args.k, args.family, args.upto) if args.fit else None
     print(f"k: {data.k}")
     print(f"family: {data.family}")
     print(f"rho: {float(data.rho):.12f}")
@@ -157,8 +167,7 @@ def _cmd_asymptotics(args) -> int:
         for r in data.indicial_roots
     )
     print(f"indicial roots: [{roots}]")
-    if args.fit:
-        fit = asympt.fit_constant(args.k, args.family, args.upto)
+    if fit is not None:
         print(f"constant estimate: {fit.estimate:.9f}")
         for n, u in fit.ladder:
             print(f"  u({n}) = {u:.9f}")
@@ -222,14 +231,14 @@ def _cmd_selftest(args) -> int:
     strm_ok = True
     for fam in ("relaxed", "compacted"):
         for k in range(0, 4):
-            vals = dfinite.sequence_values(k, fam, 5)
+            vals = list(dfinite.sequence_values(k, fam, 5))
             bf = [exhaustive.brute_count(n, fam, max_right_height=k) for n in range(6)]
             strm_ok = strm_ok and vals == bf
     check("streams = height-filtered brute force (k<=3, n<=5)", strm_ok)
 
     cf_ok = True
     for (k, fam) in ((0, "relaxed"), (1, "relaxed"), (2, "relaxed"), (1, "compacted")):
-        vals = dfinite.sequence_values(k, fam, 20)
+        vals = list(dfinite.sequence_values(k, fam, 20))
         cf_ok = cf_ok and all(
             dfinite.closed_form_oracle(k, fam, n) == vals[n] for n in range(21)
         )

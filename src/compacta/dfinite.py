@@ -13,8 +13,18 @@ nonnegative integer root of q_0 makes the stream unique.
 
 The stream itself runs on the n!-scaled integer counts: multiplying the
 relation by n! turns q_j(n) into q_j(n) * n^falling(j), so each step is a
-few big-int multiplies and one exact division whose remainder doubles as
-the integrality assertion.
+few multiplies by small integers and one exact division whose remainder
+doubles as the integrality assertion.  One loop (iter_counts) serves two
+number types: Python `int` (seeds, fits, tests) and `decimal.Decimal`
+(`compacta sequence`).  libmpdec keeps a Decimal in base 10^19, so the
+step and the printing of a term are both linear in its digits, where
+printing a big `int` is quadratic.  Each Decimal step runs in EXACT, a
+context wide enough never to round that traps any rounding, so the result
+is exact whatever the caller's context; the context is entered around one
+step at a time and never held across a `yield`.  `stream` and
+`sequence_values` check their arguments and build the seeds when called,
+then return a lazy iterator, so a caller can print each count as it comes
+and still see a bad argument before anything is printed.
 
 Seeds n <= k+1 come from the exact count table: a tree of size at most k+1
 cannot exceed right height k, so there the bounded and unbounded counts
@@ -27,9 +37,13 @@ A_0 = 1-z is only the base of the relaxed recursion.
 
 from __future__ import annotations
 
+import decimal
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import islice
 from math import factorial
+from operator import itemgetter
 
 from .operators import DiffOperator, build_operator
 from .poly import IntPoly, falling_factorial_poly
@@ -39,6 +53,15 @@ from .recurrences import build_table, word_counts
 class IntegralityError(ArithmeticError):
     """A streamed value failed the exact-division check: wrong seeds or
     an operator that does not annihilate the intended series."""
+
+
+# Decimal arithmetic that never rounds: any result that would need rounding
+# raises instead of losing a digit.
+EXACT = decimal.Context(
+    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation,
+           decimal.Overflow],
+)
 
 
 @dataclass(frozen=True)
@@ -62,14 +85,6 @@ class CoeffRecurrence:
         if scan_limit is None:
             scan_limit = self.valid_from + self.span + max(q0.degree, 1) + 16
         return [n for n in range(scan_limit + 1) if q0(n) == 0]
-
-    def residual(self, series, n: int):
-        """Value of the relation at index n over the given coefficients."""
-        acc = 0
-        for j, q in enumerate(self.coeffs):
-            if 0 <= n - j < len(series):
-                acc += q(n) * series[n - j]
-        return acc
 
 
 def ode_to_recurrence(op: DiffOperator) -> CoeffRecurrence:
@@ -129,35 +144,52 @@ def _count_form(rec: CoeffRecurrence) -> tuple[IntPoly, ...]:
     )
 
 
-def iter_counts(seq: SeededSequence):
-    """Yield (n, count) forever; count = a_n * n! as an exact integer."""
-    window: list[int] = []  # last `span` counts, newest last
+def _step(qpolys: tuple[IntPoly, ...], window: list, n: int, zero):
+    # count n from the last counts in window (newest last), in zero's type
+    den = qpolys[0](n)
+    if den == 0:
+        raise IntegralityError(
+            f"leading coefficient vanishes at n = {n}; seeds must extend past it"
+        )
+    acc = zero
+    for j in range(1, min(len(qpolys) - 1, len(window)) + 1):
+        acc += qpolys[j](n) * window[-j]
+    c, rem = divmod(-acc, den)
+    if rem:
+        raise IntegralityError(f"non-integral value at n = {n}")
+    return c
+
+
+def iter_counts(seq: SeededSequence, num: type = int):
+    """Yield (n, count) forever; count = a_n * n! exactly, of type num.
+
+    num is `int` or `decimal.Decimal`.  A Decimal step runs in EXACT, so a
+    non-integral or unrepresentable value raises instead of rounding; the
+    caller's decimal context is left alone between and after the steps.
+    """
+    if num is not int and num is not Decimal:
+        raise TypeError(f"num must be int or Decimal, got {num!r}")
+    window: list = []  # last `span` counts, newest last
     span = seq.rec.span
+    zero = num(0)
     qpolys = _count_form(seq.rec)
     n = 0
     for a in seq.seeds:
         c = a * factorial(n)
         if c.denominator != 1:
             raise IntegralityError(f"seed a_{n} = {a} is not integral after scaling")
-        c = int(c)
+        c = num(int(c))
         yield n, c
         window.append(c)
         if len(window) > span:
             window.pop(0)
         n += 1
     while True:
-        den = qpolys[0](n)
-        if den == 0:
-            raise IntegralityError(
-                f"leading coefficient vanishes at n = {n}; seeds must extend past it"
-            )
-        num = 0
-        for j in range(1, span + 1):
-            if j <= len(window):
-                num += qpolys[j](n) * window[-j]
-        c, rem = divmod(-num, den)
-        if rem:
-            raise IntegralityError(f"non-integral value at n = {n}")
+        if num is Decimal:
+            with localcontext(EXACT):
+                c = _step(qpolys, window, n, zero)
+        else:
+            c = _step(qpolys, window, n, zero)
         yield n, c
         window.append(c)
         if len(window) > span:
@@ -165,15 +197,15 @@ def iter_counts(seq: SeededSequence):
         n += 1
 
 
-def stream(seq: SeededSequence, upto: int) -> list[int]:
-    """Exact counts a_n * n! for n = 0..upto."""
+def stream(seq: SeededSequence, upto: int, num: type = int):
+    """Lazy iterator over the exact counts a_n * n! for n = 0..upto.
+
+    upto is checked when called; the counts are computed as they are
+    pulled, in the number type num (see iter_counts).
+    """
     if upto < 0:
         raise ValueError("upto must be >= 0")
-    out = []
-    for n, c in iter_counts(seq):
-        out.append(c)
-        if n == upto:
-            return out
+    return map(itemgetter(1), islice(iter_counts(seq, num), upto + 1))
 
 
 def seed(k: int, family: str, n0: int | None = None) -> SeededSequence:
@@ -205,11 +237,16 @@ def seed(k: int, family: str, n0: int | None = None) -> SeededSequence:
 
 
 def sequence_values(k: int, family: str, upto: int,
-                    n0: int | None = None) -> list[int]:
-    """Counts of {family} trees of right height <= k for n = 0..upto."""
+                    n0: int | None = None, num: type = int):
+    """Counts of {family} trees of right height <= k for n = 0..upto.
+
+    The arguments are checked and the seeds built when called, so a bad
+    argument raises before any count is produced; the result is a lazy
+    iterator that computes each count, of type num, as it is pulled.
+    """
     if upto < 0:
         raise ValueError("upto must be >= 0")
-    return stream(seed(k, family, n0), upto)
+    return stream(seed(k, family, n0), upto, num)
 
 
 def iter_sequence(k: int, family: str):

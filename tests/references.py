@@ -7,7 +7,7 @@ computes; none has a caller in the package itself.
 from mpmath import mp, mpf
 
 from compacta.asympt import WORK_PREC, scaled_ratio_log, singularity_data
-from compacta.dfinite import iter_sequence
+from compacta.dfinite import CoeffRecurrence, iter_sequence
 from compacta.operators import DiffOperator
 from compacta.poly import IntPoly, chebyshev_t, chebyshev_u
 
@@ -40,6 +40,16 @@ def apply_operator(op: DiffOperator, series, terms: int):
             for n in range(terms - j):
                 out[n + j] += pc * deriv[n]
     return out
+
+
+def residual(rec: CoeffRecurrence, series, n: int):
+    """Value of the recurrence's relation at index n over the given
+    ordinary coefficients, with a_m = 0 outside the series."""
+    acc = 0
+    for j, q in enumerate(rec.coeffs):
+        if 0 <= n - j < len(series):
+            acc += q(n) * series[n - j]
+    return acc
 
 
 def equal_up_to_scalar(a: DiffOperator, b: DiffOperator) -> bool:

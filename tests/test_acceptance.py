@@ -70,9 +70,9 @@ def test_criterion_02_brute_force_agreement():
 
 
 def test_criterion_03_closed_forms():
-    r0 = sequence_values(0, "relaxed", 30)
-    r1 = sequence_values(1, "relaxed", 30)
-    r2 = sequence_values(2, "relaxed", 30)
+    r0 = list(sequence_values(0, "relaxed", 30))
+    r1 = list(sequence_values(1, "relaxed", 30))
+    r2 = list(sequence_values(2, "relaxed", 30))
     for n in range(31):
         assert r0[n] == math.factorial(n)
         double = 1
@@ -161,7 +161,7 @@ def test_criterion_09_consistency_ladder():
     streams = {}
     for family in ("relaxed", "compacted"):
         for k in range(0, 5):
-            values = sequence_values(k, family, 500)  # integrality checked stepwise
+            values = list(sequence_values(k, family, 500))  # integrality checked stepwise
             streams[(family, k)] = values
             for n in range(7):
                 assert values[n] == brute_count(n, family, max_right_height=k), (

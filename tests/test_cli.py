@@ -1,7 +1,10 @@
+import decimal
+from fractions import Fraction
 from math import factorial
 
 import pytest
 
+from compacta import dfinite
 from compacta.cli import run
 from compacta.recurrences import build_table
 from compacta.trees import dag_from_text
@@ -69,6 +72,53 @@ def test_sequence_csv(capsys):
     assert run(["sequence", "--family", "compacted", "--k", "1", "--upto", "3",
                 "--csv"]) == 0
     assert out_lines(capsys) == ["n,value", "0,1", "1,1", "2,3", "3,14"]
+
+
+@pytest.mark.parametrize("family", ["relaxed", "compacted"])
+@pytest.mark.parametrize("k", [0, 1, 2, 5, 12])
+def test_sequence_prints_the_int_counts(k, family, capsys):
+    values = list(dfinite.sequence_values(k, family, 400))
+    argv = ["sequence", "--family", family, "--k", str(k), "--upto", "400"]
+    assert run(argv) == 0
+    assert capsys.readouterr().out == "".join(
+        f"{n:>3} {v}\n" for n, v in enumerate(values))
+    assert run([*argv, "--csv"]) == 0
+    assert capsys.readouterr().out == "n,value\n" + "".join(
+        f"{n},{v}\n" for n, v in enumerate(values))
+
+
+def test_sequence_leaves_the_decimal_context_alone(capsys):
+    ctx = decimal.getcontext()
+    before = repr(ctx)
+    assert run(["sequence", "--family", "compacted", "--k", "3", "--upto", "50"]) == 0
+    assert decimal.getcontext() is ctx and repr(ctx) == before
+
+
+def _bad_seed(sq):
+    # the last seed count off by one half
+    m = len(sq.seeds) - 1
+    return dfinite.SeededSequence(
+        sq.rec, sq.seeds[:m] + (sq.seeds[m] + Fraction(1, 2 * factorial(m)),))
+
+
+def _bad_division(sq):
+    # a doubled leading coefficient: relaxed k = 3 fails at n = 4
+    q0, *rest = sq.rec.coeffs
+    return dfinite.SeededSequence(
+        dfinite.CoeffRecurrence((q0 * 2, *rest), sq.rec.valid_from), sq.seeds)
+
+
+@pytest.mark.parametrize("corrupt, out, err", [
+    (_bad_seed, " 0 1\n 1 1\n", "error: seed a_2 = 7/4 is not integral after scaling\n"),
+    (_bad_division, " 0 1\n 1 1\n 2 3\n 3 8\n", "error: non-integral value at n = 4\n"),
+])
+def test_sequence_stops_at_a_bad_term(corrupt, out, err, monkeypatch, capsys):
+    # the counts before the bad term are already printed when it fails
+    bad = corrupt(dfinite.seed(3, "relaxed"))
+    monkeypatch.setattr(dfinite, "seed", lambda *args, **kwargs: bad)
+    assert run(["sequence", "--family", "relaxed", "--k", "3", "--upto", "10"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (out, err)
 
 
 def test_operator_plain(capsys):
@@ -182,6 +232,24 @@ def test_sequence_rejects_negative_upto(k, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("flags", [["--k", "1", "--upto", "-2", "--csv"],
+                                   ["--k", "-1", "--upto", "5"]])
+def test_sequence_errors_print_nothing(flags, capsys):
+    assert run(["sequence", "--family", "compacted", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("upto", ["0", "-3"])
+def test_fit_with_a_bad_upto_prints_nothing(upto, capsys):
+    argv = ["asymptotics", "--family", "relaxed", "--k", "1", "--fit", "--upto", upto]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: n_max must be >= 1, got {upto}\n"
 
 
 def test_usage_error_exit_code():

@@ -1,3 +1,5 @@
+import decimal
+from decimal import Decimal
 from fractions import Fraction
 from math import factorial
 
@@ -18,6 +20,7 @@ from compacta.operators import compacted_operator, relaxed_operator
 from compacta.poly import IntPoly
 from compacta.recurrences import build_table, word_counts
 from references import apply_operator
+from references import residual as rec_residual  # `residual` is a local below
 
 
 def double_factorial_odd(n):
@@ -40,20 +43,20 @@ def test_order_one_recurrence_shape():
     assert rec.coeffs[1] == IntPoly(1, -2)
     a = [Fraction(double_factorial_odd(n), factorial(n)) for n in range(10)]
     for n in range(1, 10):
-        assert rec.residual(a, n) == 0
+        assert rec_residual(rec, a, n) == 0
 
 
 def test_recurrence_annihilates_truncated_series():
     # an annihilator composed with its solution's coefficients gives zero
     for k in (1, 2, 3):
         op = relaxed_operator(k)
-        counts = sequence_values(k, "relaxed", 55)
+        counts = list(sequence_values(k, "relaxed", 55))
         series = [Fraction(c, factorial(n)) for n, c in enumerate(counts)]
         residual = apply_operator(op, series, 50)
         assert all(v == 0 for v in residual)
         rec = ode_to_recurrence(op)
         for n in range(rec.valid_from, 50):
-            assert rec.residual(series, n) == 0
+            assert rec_residual(rec, series, n) == 0
 
 
 def test_leading_integer_roots():
@@ -97,7 +100,8 @@ def test_seeds_far_past_the_tables(k, family):
     # brute force at n = 13 would be far over the enumeration budget
     sq = seed(k, family, n0=14)
     assert [a * factorial(n) for n, a in enumerate(sq.seeds)] == word_counts(family, 13, k)
-    assert sequence_values(k, family, 40, n0=14) == sequence_values(k, family, 40)
+    assert list(sequence_values(k, family, 40, n0=14)) == list(
+        sequence_values(k, family, 40))
 
 
 def test_compacted_seed_small():
@@ -110,25 +114,25 @@ def test_relaxed_zero_has_no_operator():
     assert [a * factorial(n) for n, a in enumerate(sq.seeds)] == [
         factorial(n) for n in range(len(sq.seeds))
     ]
-    assert sequence_values(0, "relaxed", 6) == [factorial(n) for n in range(7)]
+    assert list(sequence_values(0, "relaxed", 6)) == [factorial(n) for n in range(7)]
 
 
 # --- streaming ----------------------------------------------------------------
 
 
 def test_stream_double_factorials():
-    assert sequence_values(1, "relaxed", 5) == [1, 1, 3, 15, 105, 945]
-    assert sequence_values(1, "relaxed", 30)[30] == double_factorial_odd(30)
+    assert list(sequence_values(1, "relaxed", 5)) == [1, 1, 3, 15, 105, 945]
+    assert list(sequence_values(1, "relaxed", 30))[30] == double_factorial_odd(30)
 
 
 def test_stream_relaxed_two_closed_form_value():
     # 4! * F_10 = 24 * 55
-    assert sequence_values(2, "relaxed", 5)[5] == 1320
+    assert list(sequence_values(2, "relaxed", 5))[5] == 1320
 
 
 def test_stream_compacted_one_series():
     # series of the integrating factor form: 1, 1, 3, 14, 92, 786, ...
-    values = sequence_values(1, "compacted", 6)
+    values = list(sequence_values(1, "compacted", 6))
     assert values == [1, 1, 3, 14, 92, 786, 8278]
     assert values[2] == 3
     for n, v in enumerate(values):
@@ -136,13 +140,13 @@ def test_stream_compacted_one_series():
 
 
 def test_stream_compacted_two_initial_values():
-    assert sequence_values(2, "compacted", 2) == [1, 1, 3]
+    assert list(sequence_values(2, "compacted", 2)) == [1, 1, 3]
 
 
 def test_streams_match_filtered_brute_force():
     for family in ("relaxed", "compacted"):
         for k in range(0, 4):
-            got = sequence_values(k, family, 5)
+            got = list(sequence_values(k, family, 5))
             want = [brute_count(n, family, max_right_height=k) for n in range(6)]
             assert got == want, (family, k)
 
@@ -151,10 +155,10 @@ def test_streams_match_unrestricted_prefix():
     rt = build_table("relaxed", 8)
     ct = build_table("compacted", 8)
     for k in range(1, 7):
-        assert sequence_values(k, "relaxed", k + 1) == [
+        assert list(sequence_values(k, "relaxed", k + 1)) == [
             rt.count(n) for n in range(k + 2)
         ]
-        assert sequence_values(k, "compacted", k + 1) == [
+        assert list(sequence_values(k, "compacted", k + 1)) == [
             ct.count(n) for n in range(k + 2)
         ]
 
@@ -165,14 +169,14 @@ def test_boundary_misses_exactly_the_right_chain():
     for family in ("relaxed", "compacted"):
         table = build_table(family, 7)
         for k in range(1, 6):
-            bounded = sequence_values(k, family, k + 2)
+            bounded = list(sequence_values(k, family, k + 2))
             assert bounded[k + 2] == table.count(k + 2) - 1
 
 
 def test_stream_monotone_in_k():
-    prev = sequence_values(1, "relaxed", 40)
+    prev = list(sequence_values(1, "relaxed", 40))
     for k in range(2, 6):
-        now = sequence_values(k, "relaxed", 40)
+        now = list(sequence_values(k, "relaxed", 40))
         assert all(a <= b for a, b in zip(prev, now))
         prev = now
 
@@ -181,7 +185,7 @@ def test_non_integral_seed_raises():
     rec = ode_to_recurrence(compacted_operator(1))
     wrong = SeededSequence(rec, (Fraction(1), Fraction(1, 3)))
     with pytest.raises(IntegralityError):
-        stream(wrong, 30)
+        list(stream(wrong, 30))
 
 
 def test_inexact_division_raises():
@@ -189,12 +193,83 @@ def test_inexact_division_raises():
     rec = CoeffRecurrence((IntPoly(2), IntPoly(0, 1)), valid_from=0)
     odd = SeededSequence(rec, (Fraction(1),))
     with pytest.raises(IntegralityError):
-        stream(odd, 5)
+        list(stream(odd, 5))
 
 
 def test_relaxed_zero_streams_factorials():
     # B_0 = (1-z)D - 1 annihilates the relaxed k = 0 series: n! left combs
-    assert stream(seed(0, "relaxed"), 60) == [factorial(n) for n in range(61)]
+    assert list(stream(seed(0, "relaxed"), 60)) == [factorial(n) for n in range(61)]
+
+
+# --- exact decimal streams ---------------------------------------------------
+
+
+def half_count_seed(sq):
+    # the last seed's count off by one half: no longer an integer count
+    m = len(sq.seeds) - 1
+    half = Fraction(1, 2 * factorial(m))
+    return SeededSequence(sq.rec, sq.seeds[:m] + (sq.seeds[m] + half,))
+
+
+def doubled_leading(sq):
+    # 2 q_0: the division fails at the first odd count past the seeds
+    q0, *rest = sq.rec.coeffs
+    return SeededSequence(CoeffRecurrence((q0 * 2, *rest), sq.rec.valid_from), sq.seeds)
+
+
+def stream_error(seq, num):
+    got = []
+    with pytest.raises(IntegralityError) as exc:
+        for v in stream(seq, 50, num):
+            got.append(v)
+    return str(exc.value), got
+
+
+@pytest.mark.parametrize("family", ["relaxed", "compacted"])
+@pytest.mark.parametrize("k", [0, 1, 2, 5, 12, 40])
+def test_decimal_stream_is_exact_in_a_narrow_context(k, family):
+    ctx = decimal.getcontext()
+    saved = ctx.prec
+    ctx.prec = 5
+    try:
+        dec = list(sequence_values(k, family, 300, num=Decimal))
+    finally:
+        ctx.prec = saved
+    ints = list(sequence_values(k, family, 300))
+    assert dec == ints
+    assert [str(d) for d in dec] == [str(v) for v in ints]
+
+
+def test_decimal_stream_leaves_the_context_alone():
+    ctx = decimal.getcontext()
+    before = repr(ctx)
+    values = sequence_values(3, "compacted", 100, num=Decimal)
+    for _ in range(20):  # past the seeds, then abandoned
+        next(values)
+        assert decimal.getcontext() is ctx and repr(ctx) == before
+    del values
+    assert decimal.getcontext() is ctx and repr(ctx) == before
+
+
+@pytest.mark.parametrize("family", ["relaxed", "compacted"])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("corrupt", [half_count_seed, doubled_leading])
+def test_decimal_stream_raises_where_the_int_stream_does(corrupt, k, family):
+    bad = corrupt(seed(k, family))
+    msg, got = stream_error(bad, Decimal)
+    assert (msg, got) == stream_error(bad, int)
+    assert all(type(v) is Decimal for v in got)
+
+
+def test_decimal_stream_rejects_an_inexact_division():
+    odd = SeededSequence(CoeffRecurrence((IntPoly(2), IntPoly(0, 1)), valid_from=0),
+                         (Fraction(1),))
+    assert stream_error(odd, Decimal) == ("non-integral value at n = 1", [1])
+
+
+def test_stream_takes_int_or_decimal():
+    with pytest.raises(TypeError):
+        list(stream(seed(1, "relaxed"), 3, float))
 
 
 # --- closed forms ---------------------------------------------------------
@@ -210,8 +285,8 @@ def test_closed_form_oracle_values():
 
 
 def test_closed_forms_match_streams():
-    r2 = sequence_values(2, "relaxed", 30)
-    c1 = sequence_values(1, "compacted", 30)
+    r2 = list(sequence_values(2, "relaxed", 30))
+    c1 = list(sequence_values(1, "compacted", 30))
     for n in range(31):
         assert closed_form_oracle(2, "relaxed", n) == r2[n]
         assert closed_form_oracle(1, "compacted", n) == c1[n]

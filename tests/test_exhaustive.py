@@ -145,7 +145,7 @@ def test_brute_force_equals_the_exact_counts_at_size_seven():
     assert brute_count(7, "compacted") == build_table("compacted", 7).count(7) == 230943
     for k in (2, 3):
         assert brute_count(7, "compacted", max_right_height=k) == \
-            sequence_values(k, "compacted", 7)[7]
+            list(sequence_values(k, "compacted", 7))[7]
 
 
 def test_genfilter_validation():
