@@ -12,19 +12,29 @@ forward recurrence cannot determine a value; seeding past the last
 nonnegative integer root of q_0 makes the stream unique.
 
 The stream itself runs on the n!-scaled integer counts: multiplying the
-relation by n! turns q_j(n) into q_j(n) * n^falling(j), so each step is a
-few multiplies by small integers and one exact division whose remainder
-doubles as the integrality assertion.  One loop (iter_counts) serves two
-number types: Python `int` (seeds, fits, tests) and `decimal.Decimal`
-(`compacta sequence`).  libmpdec keeps a Decimal in base 10^19, so the
-step and the printing of a term are both linear in its digits, where
-printing a big `int` is quadratic.  Each Decimal step runs in EXACT, a
-context wide enough never to round that traps any rounding, so the result
-is exact whatever the caller's context; the context is entered around one
-step at a time and never held across a `yield`.  `stream` and
-`sequence_values` check their arguments and build the seeds when called,
-then return a lazy iterator, so a caller can print each count as it comes
-and still see a bad argument before anything is printed.
+relation by n! turns q_j(n) into q_j(n) * n^falling(j).  In both operator
+families q_0 = +-n^falling(d), and it divides every such term as a
+polynomial at each k tried (0-40, 60, 100), so `count_form` divides it out
+once with `IntPoly.divexact`, and each step is c_n = -sum_j r_j(n) c_{n-j}:
+a few multiplies by small integers and no division.  That exact division
+proves, for every n at once, that integer seeds stream integers.  A
+recurrence it fails on (so far only a hand-built or corrupted one) streams
+with one exact division per term instead, whose remainder is checked.
+Neither can tell a wrong integer seed from a right one, so `seed` compares
+the seeds and the first 2*span + 10 steps with the bounded word counts, an
+independent model of the same trees.
+
+One loop (iter_counts) serves two number types: Python `int` (seeds, fits,
+tests) and `decimal.Decimal` (`compacta sequence`).  libmpdec keeps a
+Decimal in base 10^19, so the step and the printing of a term are both
+linear in its digits, where printing a big `int` is quadratic.  Each
+Decimal step runs in EXACT, a context wide enough never to round that traps
+any rounding, so the result is exact whatever the caller's context; the
+context is entered around one step at a time and never held across a
+`yield`.  `stream` and `sequence_values` check their arguments and build
+the seeds when called, then return a lazy iterator, so a caller can print
+each count as it comes and still see a bad argument before anything is
+printed.
 
 Seeds n <= k+1 come from the exact count table: a tree of size at most k+1
 cannot exceed right height k, so there the bounded and unbounded counts
@@ -38,10 +48,12 @@ A_0 = 1-z is only the base of the relaxed recursion.
 from __future__ import annotations
 
 import decimal
+from collections import deque
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import islice
+from functools import cached_property
+from itertools import count, islice
 from math import factorial
 from operator import itemgetter
 
@@ -51,8 +63,9 @@ from .recurrences import build_table, word_counts
 
 
 class IntegralityError(ArithmeticError):
-    """A streamed value failed the exact-division check: wrong seeds or
-    an operator that does not annihilate the intended series."""
+    """A count is not an integer (a seed, or a step whose division leaves a
+    remainder), or a count in the prefix `seed` checks disagrees with the
+    word counts.  Past that prefix a wrong recurrence can stream integers."""
 
 
 # Decimal arithmetic that never rounds: any result that would need rounding
@@ -85,6 +98,20 @@ class CoeffRecurrence:
         if scan_limit is None:
             scan_limit = self.valid_from + self.span + max(q0.degree, 1) + 16
         return [n for n in range(scan_limit + 1) if q0(n) == 0]
+
+    @cached_property
+    def count_form(self) -> tuple[IntPoly, tuple[IntPoly, ...], bool]:
+        """(q_0, (-r_1, ..., -r_s), monic): count_n = -sum_j r_j(n) count_{n-j}.
+
+        Multiplying the a_{n-j} relation by n!/(n-j)! gives q_j(n) n^falling(j);
+        monic means q_0 divided each of these exactly, so r_j is that quotient,
+        and otherwise r_j is the product itself and a step divides by q_0(n).
+        """
+        q0, *rest = (q * falling_factorial_poly(j) for j, q in enumerate(self.coeffs))
+        try:
+            return q0, tuple(-p.divexact(q0) for p in rest), True
+        except ValueError:
+            return q0, tuple(-p for p in rest), False
 
 
 def ode_to_recurrence(op: DiffOperator) -> CoeffRecurrence:
@@ -137,24 +164,20 @@ class SeededSequence:
             )
 
 
-def _count_form(rec: CoeffRecurrence) -> tuple[IntPoly, ...]:
-    # multiply the a_{n-j} relation by n!/(n-j)! per term
-    return tuple(
-        q * falling_factorial_poly(j) for j, q in enumerate(rec.coeffs)
-    )
-
-
-def _step(qpolys: tuple[IntPoly, ...], window: list, n: int, zero):
+def _step(form, window, n: int, zero):
     # count n from the last counts in window (newest last), in zero's type
-    den = qpolys[0](n)
+    q0, steps, monic = form
+    den = q0(n)
     if den == 0:
         raise IntegralityError(
             f"leading coefficient vanishes at n = {n}; seeds must extend past it"
         )
     acc = zero
-    for j in range(1, min(len(qpolys) - 1, len(window)) + 1):
-        acc += qpolys[j](n) * window[-j]
-    c, rem = divmod(-acc, den)
+    for p, c in zip(steps, reversed(window)):
+        acc += p(n) * c
+    if monic:
+        return acc
+    c, rem = divmod(acc, den)
     if rem:
         raise IntegralityError(f"non-integral value at n = {n}")
     return c
@@ -169,32 +192,23 @@ def iter_counts(seq: SeededSequence, num: type = int):
     """
     if num is not int and num is not Decimal:
         raise TypeError(f"num must be int or Decimal, got {num!r}")
-    window: list = []  # last `span` counts, newest last
-    span = seq.rec.span
+    window = deque(maxlen=seq.rec.span)  # the last counts, newest last
     zero = num(0)
-    qpolys = _count_form(seq.rec)
-    n = 0
-    for a in seq.seeds:
-        c = a * factorial(n)
-        if c.denominator != 1:
-            raise IntegralityError(f"seed a_{n} = {a} is not integral after scaling")
-        c = num(int(c))
-        yield n, c
-        window.append(c)
-        if len(window) > span:
-            window.pop(0)
-        n += 1
-    while True:
-        if num is Decimal:
+    form = seq.rec.count_form
+    for n in count():
+        if n < len(seq.seeds):
+            c = seq.seeds[n] * factorial(n)
+            if c.denominator != 1:
+                raise IntegralityError(
+                    f"seed a_{n} = {seq.seeds[n]} is not integral after scaling")
+            c = num(int(c))
+        elif num is Decimal:
             with localcontext(EXACT):
-                c = _step(qpolys, window, n, zero)
+                c = _step(form, window, n, zero)
         else:
-            c = _step(qpolys, window, n, zero)
+            c = _step(form, window, n, zero)
         yield n, c
         window.append(c)
-        if len(window) > span:
-            window.pop(0)
-        n += 1
 
 
 def stream(seq: SeededSequence, upto: int, num: type = int):
@@ -214,8 +228,10 @@ def seed(k: int, family: str, n0: int | None = None) -> SeededSequence:
     Default n0 is the smallest sound choice (just past the integer roots of
     the leading recurrence coefficient).  Seeds n <= k+1, where bounded and
     unbounded counts coincide, come from the count table; any seeds past
-    that come from the bounded word counts.  At k = 0 both families count
-    the n! left combs, so both run on B_0.
+    that come from the bounded word counts.  The seeds and the first
+    2*span + 10 steps must equal those word counts, or IntegralityError
+    names the first n that differs.  At k = 0 both families count the n!
+    left combs, so both run on B_0.
     """
     if family not in ("relaxed", "compacted"):
         raise ValueError(f"family must be 'relaxed' or 'compacted', got {family!r}")
@@ -228,12 +244,19 @@ def seed(k: int, family: str, n0: int | None = None) -> SeededSequence:
         n0 = minimal
     elif n0 < minimal:
         raise ValueError(f"n0 = {n0} too small, need at least {minimal}")
-    counts = build_table(family, min(n0 - 1, k + 1)).counts()
-    if n0 > k + 2:
-        counts += word_counts(family, n0 - 1, k)[k + 2:]
-    return SeededSequence(
+    words = word_counts(family, n0 + 2 * rec.span + 10, k)
+    counts = build_table(family, min(n0 - 1, k + 1)).counts() + words[k + 2:n0]
+    seq = SeededSequence(
         rec, tuple(Fraction(c, factorial(n)) for n, c in enumerate(counts))
     )
+    # each step runs on the word counts before it, so the first n that
+    # differs is the first streamed count that differs
+    for n, want in enumerate(words):
+        window = words[max(n - rec.span, 0):n]
+        got = counts[n] if n < n0 else _step(rec.count_form, window, n, 0)
+        if got != want:
+            raise IntegralityError(f"stream disagrees with the word counts at n = {n}")
+    return seq
 
 
 def sequence_values(k: int, family: str, upto: int,

@@ -4,12 +4,21 @@ Each one is an independent way to compute or compare what the package
 computes; none has a caller in the package itself.
 """
 
+from decimal import localcontext
+from math import factorial
+
 from mpmath import mp, mpf
 
 from compacta.asympt import WORK_PREC, scaled_ratio_log, singularity_data
-from compacta.dfinite import CoeffRecurrence, iter_sequence
+from compacta.dfinite import (
+    EXACT,
+    CoeffRecurrence,
+    IntegralityError,
+    SeededSequence,
+    iter_sequence,
+)
 from compacta.operators import DiffOperator
-from compacta.poly import IntPoly, chebyshev_t, chebyshev_u
+from compacta.poly import IntPoly, chebyshev_t, chebyshev_u, falling_factorial_poly
 
 
 def apply_operator(op: DiffOperator, series, terms: int):
@@ -50,6 +59,40 @@ def residual(rec: CoeffRecurrence, series, n: int):
         if 0 <= n - j < len(series):
             acc += q(n) * series[n - j]
     return acc
+
+
+def division_counts(seq: SeededSequence, num: type = int):
+    """Yield (n, count) forever, count = a_n * n!, by one exact division per
+    step: count_n = -sum_j q_j(n) n^falling(j) count_{n-j} / q_0(n), with
+    the remainder checked.  The stream as it was before its count form was
+    made monic; a step runs in EXACT, which only a Decimal step reads."""
+    qpolys = tuple(q * falling_factorial_poly(j) for j, q in enumerate(seq.rec.coeffs))
+    window: list = []  # last `span` counts, newest last
+    n = 0
+    while True:
+        if n < len(seq.seeds):
+            c = seq.seeds[n] * factorial(n)
+            if c.denominator != 1:
+                raise IntegralityError(
+                    f"seed a_{n} = {seq.seeds[n]} is not integral after scaling")
+            c = num(int(c))
+        else:
+            with localcontext(EXACT):
+                den = qpolys[0](n)
+                if den == 0:
+                    raise IntegralityError(
+                        f"leading coefficient vanishes at n = {n}; seeds must extend past it")
+                acc = num(0)
+                for j in range(1, min(len(qpolys) - 1, len(window)) + 1):
+                    acc += qpolys[j](n) * window[-j]
+                c, rem = divmod(-acc, den)
+                if rem:
+                    raise IntegralityError(f"non-integral value at n = {n}")
+        yield n, c
+        window.append(c)
+        if len(window) > seq.rec.span:
+            window.pop(0)
+        n += 1
 
 
 def equal_up_to_scalar(a: DiffOperator, b: DiffOperator) -> bool:

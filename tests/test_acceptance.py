@@ -161,7 +161,7 @@ def test_criterion_09_consistency_ladder():
     streams = {}
     for family in ("relaxed", "compacted"):
         for k in range(0, 5):
-            values = list(sequence_values(k, family, 500))  # integrality checked stepwise
+            values = list(sequence_values(k, family, 500))  # monic count form: integral at every n
             streams[(family, k)] = values
             for n in range(7):
                 assert values[n] == brute_count(n, family, max_right_height=k), (

@@ -1,11 +1,13 @@
 import decimal
 from fractions import Fraction
 from math import factorial
+from types import SimpleNamespace
 
 import pytest
 
-from compacta import dfinite
+from compacta import dfinite, operators
 from compacta.cli import run
+from compacta.poly import IntPoly
 from compacta.recurrences import build_table
 from compacta.trees import dag_from_text
 
@@ -119,6 +121,37 @@ def test_sequence_stops_at_a_bad_term(corrupt, out, err, monkeypatch, capsys):
     assert run(["sequence", "--family", "relaxed", "--k", "3", "--upto", "10"]) == 1
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (out, err)
+
+
+def test_sequence_rejects_an_operator_step_corrupted_past_selftest(monkeypatch, capsys):
+    # index 20 lies past selftest's k <= 12, and the corrupted recurrence
+    # streams integers: only the check against the word counts catches it
+    real = operators._compacted_coefficients_step
+
+    def corrupted(prev, prev2, k):
+        out = real(prev, prev2, k)
+        return out[:1] + (out[1] + IntPoly(1),) + out[2:] if k == 20 else out
+
+    monkeypatch.setattr(operators, "_compacted_coefficients_step", corrupted)
+    assert run(["selftest"]) == 0
+    capsys.readouterr()
+    assert run(["sequence", "--family", "compacted", "--k", "25", "--upto", "40"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: stream disagrees with the word counts at n = 26\n")
+
+
+def test_sequence_rejects_a_seed_off_by_one(monkeypatch, capsys):
+    def off_by_one(kind, nmax):
+        counts = build_table(kind, nmax).counts()
+        counts[-1] += 1
+        return SimpleNamespace(counts=lambda: counts)
+
+    monkeypatch.setattr(dfinite, "build_table", off_by_one)
+    assert run(["sequence", "--family", "relaxed", "--k", "3", "--upto", "10"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: stream disagrees with the word counts at n = 2\n")
 
 
 def test_operator_plain(capsys):

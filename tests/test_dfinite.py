@@ -1,25 +1,29 @@
 import decimal
 from decimal import Decimal
 from fractions import Fraction
+from itertools import islice
 from math import factorial
+from types import SimpleNamespace
 
 import pytest
 
+from compacta import dfinite
 from compacta.dfinite import (
     CoeffRecurrence,
     IntegralityError,
     SeededSequence,
     closed_form_oracle,
+    iter_counts,
     ode_to_recurrence,
     seed,
     sequence_values,
     stream,
 )
 from compacta.exhaustive import brute_count
-from compacta.operators import compacted_operator, relaxed_operator
+from compacta.operators import build_operator, compacted_operator, relaxed_operator
 from compacta.poly import IntPoly
 from compacta.recurrences import build_table, word_counts
-from references import apply_operator
+from references import apply_operator, division_counts
 from references import residual as rec_residual  # `residual` is a local below
 
 
@@ -270,6 +274,83 @@ def test_decimal_stream_rejects_an_inexact_division():
 def test_stream_takes_int_or_decimal():
     with pytest.raises(TypeError):
         list(stream(seed(1, "relaxed"), 3, float))
+
+
+# --- division-free streams and the word-count check --------------------------
+
+
+@pytest.mark.parametrize("num", [int, Decimal])
+@pytest.mark.parametrize("family", ["relaxed", "compacted"])
+@pytest.mark.parametrize("k", [0, 1, 2, 5, 12, 40])
+def test_stream_equals_the_division_reference(k, family, num):
+    seq = seed(k, family)
+    got = list(islice(iter_counts(seq, num), 301))
+    want = list(islice(division_counts(seq, num), 301))
+    assert got == want
+    assert [(type(c), str(c)) for _, c in got] == [(type(c), str(c)) for _, c in want]
+
+
+@pytest.mark.parametrize("family", ["relaxed", "compacted"])
+def test_count_form_is_certified_monic(family):
+    # q_0 divides every n!-scaled term exactly, so no step divides
+    for k in range(41):
+        rec = ode_to_recurrence(build_operator("compacted" if k == 0 else family, k))
+        assert rec.count_form[2], k
+
+
+@pytest.mark.parametrize("num", [int, Decimal])
+def test_a_form_that_is_not_monic_divides_each_step(num):
+    # 2 a_n = (n-1) a_{n-1}: the scaled term n(n-1) is not a multiple of 2 in
+    # Z[n], but n(n-1)/2 is an integer at every n
+    rec = CoeffRecurrence((IntPoly(2), IntPoly(1, -1)), valid_from=0)
+    seq = SeededSequence(rec, (Fraction(1), Fraction(1)))
+    assert not rec.count_form[2]
+    got = list(stream(seq, 8, num))
+    assert got == [1, 1, 1, 3, 18, 180, 2700, 56700, 1587600]
+    assert got == [c for _, c in islice(division_counts(seq, num), 9)]
+
+
+@pytest.mark.parametrize("num", [int, Decimal])
+@pytest.mark.parametrize("q1, monic", [
+    (IntPoly(30, -1), True),  # n-30 divides -(n-30) n: count_n = n count_{n-1}
+    (IntPoly(30, 29, -1), False),  # count_n = n(n+1)/2 count_{n-1}, divided
+])
+def test_stream_stops_where_the_leading_coefficient_vanishes(q1, monic, num):
+    # the root n = 30 lies past the scan of SeededSequence, so only the
+    # step's own check stops the stream there
+    rec = CoeffRecurrence((IntPoly(-30, 1) * (1 if monic else 2), q1), valid_from=0)
+    assert rec.count_form[2] == monic
+    msg, got = stream_error(SeededSequence(rec, (Fraction(1),)), num)
+    assert msg == "leading coefficient vanishes at n = 30; seeds must extend past it"
+    assert len(got) == 30
+
+
+@pytest.mark.parametrize("family", ["relaxed", "compacted"])
+@pytest.mark.parametrize("k", [1, 3, 12])
+def test_seed_rejects_each_count_off_by_one(monkeypatch, k, family):
+    # no integral check can see these: only the word counts do
+    for i in range(len(seed(k, family).seeds)):
+        def off_by_one(kind, nmax, i=i):
+            counts = build_table(kind, nmax).counts()
+            counts[i] += 1
+            return SimpleNamespace(counts=lambda: counts)
+
+        monkeypatch.setattr(dfinite, "build_table", off_by_one)
+        with pytest.raises(IntegralityError,
+                           match=f"word counts at n = {i}$"):
+            seed(k, family)
+        monkeypatch.undo()
+
+
+def test_seed_rejects_a_wrong_step(monkeypatch):
+    real = dfinite._step
+
+    def corrupted(form, window, n, zero):
+        return real(form, window, n, zero) + (n == 20)
+
+    monkeypatch.setattr(dfinite, "_step", corrupted)
+    with pytest.raises(IntegralityError, match="word counts at n = 20$"):
+        seed(5, "compacted")
 
 
 # --- closed forms ---------------------------------------------------------
