@@ -113,9 +113,9 @@ def _cmd_count(args) -> int:
         return 0
     table = recurrences.build_table(args.kind, args.n)
     print("n,p,value")
-    for n in range(args.n + 1):
-        for p in range(args.n - n + 1):
-            print(f"{n},{p},{table.value(n, p)}")
+    # one print per row, not per entry; one for the whole table would hold its text
+    for n, row in enumerate(table.rows):
+        print("\n".join(f"{n},{p},{v}" for p, v in enumerate(row)))
     return 0
 
 

@@ -14,25 +14,28 @@ The size-1 relaxed row is not an independent assumption: a single node with
 two pointers has (p+1)^2 target choices.  It is validated against brute
 force through the n <= 6 counts, which exercise t[1][p] for p up to 4.
 
-The counting sequence of interest is column p = 0.
+The counting sequence is column p = 0.  `word_counts` gets it for all
+n <= nmax at once in O(nmax^2) big-int steps, as X(j+1) = T(j) X(j) from
+X(1) = (1, ..., 1), with c_{j+1} = X(j+1)[1].  X(j)[a] weighs the words
+(below) up to the j-th node that leave stack height a = 1..K, with K = k+1
+for right height <= k, else nmax.  With t = j+1, T(j)[a][b] = w(a-b+1) for
+b <= a+1, else 0, where w(0) = 1, w(1) = t, w(2) = t^2 - j (compacted) or
+t^2 (relaxed), and w(d) = t w(d-1).  With P_a = t P_{a-1} + X[a] (Horner),
+a level is X'[a] = X[a+1] + t P_a - j P_{a-1} (no j term for relaxed), O(K)
+steps.  Heights above nmax - j at level j+1 cannot close by nmax: dropped.
 
-`word_counts` gets that column, for all n <= nmax at once, in O(nmax^2)
-big-int steps instead of the table's O(nmax^3).  It reads a spine's
-post-order as a word: S is an empty child position (a pointer slot), N a
-node completing.  With m nodes completed a slot has m+1 targets, a leaf or
-one of those nodes.  A node with a spine child cannot repeat an earlier
-subtree, since that child was just completed and no earlier node points to
-it, so only a cherry (S S N) can.  Its m earlier child pairs are all
-distinct and lie among the (m+1)^2 pairs, so a compacted cherry has
-(m+1)^2 - m choices and a relaxed one (m+1)^2.  The stack height #S - #N
-when an N is read is that node's right depth + 2, so right height <= k
-means height <= k+2 at every N.  The state per letter is (m, number of
-trailing slots not yet weighted, at most 2); the height follows from m and
-the word length.
+The weights read a spine's post-order as a word: S is an empty child (a
+pointer slot with t targets, a leaf or one of the j completed nodes), N a
+node completing.  Between nodes j and j+1 the word reads d slots and goes
+from stack height b to a = b+d-1, the new node's right depth + 1.  A node
+with a spine child cannot repeat an earlier subtree, since that child was
+just completed and no earlier node points to it, so only a cherry (the last
+two slots and the N) can.  Its j earlier child pairs are distinct and lie
+among the t^2 pairs, so a compacted cherry has t^2 - j choices; the d-2
+slots before it wait for later nodes.
 
-`count --n` is served by `word_counts`; `count --table` prints the table.
-The D-finite streams take their seeds n <= k+1 from the table and any
-seeds past that from the bounded `word_counts`.
+`count --n` and the streams (seeds past n = k+1, the first-terms check) use
+`word_counts`; `count --table` and the seeds n <= k+1 use the table.
 """
 
 from __future__ import annotations
@@ -97,26 +100,23 @@ def build_table(kind: str, nmax: int) -> CountTable:
 
 def word_counts(kind: str, nmax: int, max_right_height: int | None = None) -> list[int]:
     """Counts of {kind} trees of size n = 0..nmax (right height <= the bound,
-    if given) by one pass over post-order words: O(nmax^2) big-int steps."""
+    if given) by the level recurrence: O(nmax^2) big-int steps."""
     _check(kind, nmax)
-    discount = kind == "compacted"
-    top = nmax + 1 if max_right_height is None else max_right_height + 2
-    counts = [0] * (nmax + 1)
-    # j completed nodes -> weights by number of trailing unweighted slots
-    layer = {0: [1, 0, 0]}
-    for length in range(2 * nmax + 1):
-        nxt: dict[int, list[int]] = {}
-        for j, (w0, w1, w2) in layer.items():
-            h = length - 2 * j
-            t = j + 1  # slot targets: a leaf or one of the j completed nodes
-            if h < min(top, nmax - j + 1):  # read S, still able to close by nmax
-                state = nxt.setdefault(j, [0, 0, 0])
-                state[1] = w0
-                state[2] = w1 + w2 * t  # past two pending, the oldest is no cherry slot
-            if 2 <= h <= top:  # read N, a node of right depth h - 2
-                nxt.setdefault(j + 1, [0, 0, 0])[0] = w0 + w1 * t + w2 * (t * t - j * discount)
-        layer = nxt
-        n = length // 2
-        if length % 2 == 0 and n in layer:  # height 1: a whole tree of n nodes
-            counts[n] = layer[n][0] + layer[n][1] * (n + 1)
+    if max_right_height is not None and max_right_height < 0:
+        raise ValueError("right-height bound must be >= 0")
+    top = nmax if max_right_height is None else max_right_height + 1
+    counts = [1] * min(nmax + 1, 2)
+    x = [1] * min(top, nmax)  # X(1)
+    for j in range(1, nmax):
+        t, sj = j + 1, j * (kind == "compacted")
+        x.append(0)  # X[a+1] past the top height
+        nxt = []
+        p = tp = 0  # P_{a-1} and t P_{a-1}
+        for xa, up in zip(x, x[1:min(top, nmax - j) + 1]):
+            pa = tp + xa
+            tp = t * pa
+            nxt.append(up + tp - sj * p)
+            p = pa
+        x = nxt
+        counts.append(x[0])
     return counts

@@ -164,3 +164,66 @@ def exponent_regression(k: int, family: str, n_lo: int = 500, n_hi: int = 2000,
     sxx = sum((x - mean_x) ** 2 for x in xs)
     sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
     return sxy / sxx
+
+
+def letter_word_counts(kind: str, nmax: int, max_right_height: int | None = None) -> list[int]:
+    """`word_counts` as it was before the level recurrence: one pass over
+    post-order words, letter by letter (S a pointer slot, N a node).
+
+    The state per letter is (m, number of trailing slots not yet weighted,
+    at most 2); the stack height #S - #N before an N is that node's right
+    depth + 2, and follows from m and the word length.
+    """
+    discount = kind == "compacted"
+    top = nmax + 1 if max_right_height is None else max_right_height + 2
+    counts = [0] * (nmax + 1)
+    # j completed nodes -> weights by number of trailing unweighted slots
+    layer = {0: [1, 0, 0]}
+    for length in range(2 * nmax + 1):
+        nxt: dict[int, list[int]] = {}
+        for j, (w0, w1, w2) in layer.items():
+            h = length - 2 * j
+            t = j + 1  # slot targets: a leaf or one of the j completed nodes
+            if h < min(top, nmax - j + 1):  # read S, still able to close by nmax
+                state = nxt.setdefault(j, [0, 0, 0])
+                state[1] = w0
+                state[2] = w1 + w2 * t  # past two pending, the oldest is no cherry slot
+            if 2 <= h <= top:  # read N, a node of right depth h - 2
+                nxt.setdefault(j + 1, [0, 0, 0])[0] = w0 + w1 * t + w2 * (t * t - j * discount)
+        layer = nxt
+        n = length // 2
+        if length % 2 == 0 and n in layer:  # height 1: a whole tree of n nodes
+            counts[n] = layer[n][0] + layer[n][1] * (n + 1)
+    return counts
+
+
+def level_weight(kind: str, j: int, d: int) -> int:
+    """w(d) of the level recurrence, from its definition: w(0) = 1, w(1) = t,
+    w(2) = t^2 - j (compacted) or t^2 (relaxed), w(d) = t w(d-1), t = j+1."""
+    t = j + 1
+    if d < 2:
+        return t ** d
+    w = t * t - j if kind == "compacted" else t * t
+    for _ in range(d - 2):
+        w *= t
+    return w
+
+
+def level_matrix(kind: str, j: int, size: int) -> list[list[int]]:
+    """Dense lower-Hessenberg T(j) on heights 1..size:
+    T[a][b] = w(a-b+1) for b <= a+1, and 0 above."""
+    return [[level_weight(kind, j, a - b + 1) if b <= a + 1 else 0 for b in range(size)]
+            for a in range(size)]
+
+
+def dense_level_counts(kind: str, nmax: int, size: int) -> list[int]:
+    """Counts c_0..c_nmax of trees of right height <= size - 1 by dense
+    products X(j+1) = T(j) X(j) from X(1) = (1, ..., 1), c_{j+1} = X(j+1)[1];
+    no height is pruned."""
+    counts = [1, 1][:nmax + 1]
+    x = [1] * size
+    for j in range(1, nmax):
+        matrix = level_matrix(kind, j, size)
+        x = [sum(row[b] * x[b] for b in range(size)) for row in matrix]
+        counts.append(x[0])
+    return counts

@@ -50,6 +50,16 @@ def test_count_contract(kind, capsys):
     assert out_lines(capsys) == ["n,p,value"] + TABLE_FIVE[kind].split()
 
 
+@pytest.mark.parametrize("kind", ["compacted", "relaxed"])
+@pytest.mark.parametrize("n", [0, 1, 40, 80])
+def test_count_table_equals_the_per_line_form(kind, n, capsys):
+    assert run(["count", "--kind", kind, "--n", str(n), "--table"]) == 0
+    table = build_table(kind, n)
+    want = "n,p,value\n" + "".join(
+        f"{m},{p},{table.value(m, p)}\n" for m in range(n + 1) for p in range(n - m + 1))
+    assert capsys.readouterr().out == want
+
+
 @pytest.mark.parametrize("table", [[], ["--table"]])
 def test_count_rejects_negative_n(table, capsys):
     assert run(["count", "--kind", "compacted", "--n", "-1", *table]) == 1
@@ -274,6 +284,22 @@ def test_sequence_errors_print_nothing(flags, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sequence", "--family", "compacted", "--k", "-1", "--upto", "5"],
+    ["sequence", "--family", "relaxed", "--k", "-3", "--upto", "5", "--csv"],
+    ["asymptotics", "--family", "compacted", "--k", "-1"],
+    ["asymptotics", "--family", "relaxed", "--k", "-2", "--fit", "--upto", "50"],
+])
+def test_negative_k_never_reaches_the_word_counts(argv, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(dfinite, "word_counts", lambda *a: calls.append(a))
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: k must be >= 0\n"
+    assert calls == []
 
 
 @pytest.mark.parametrize("upto", ["0", "-3"])

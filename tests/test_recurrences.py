@@ -3,8 +3,9 @@ import math
 import pytest
 
 from compacta.dfinite import sequence_values
-from compacta.exhaustive import brute_count, count_relaxed_spine_product
+from compacta.exhaustive import GenFilter, brute_count, count_relaxed_spine_product
 from compacta.recurrences import build_table, word_counts
+from references import dense_level_counts, letter_word_counts, level_matrix
 
 COMPACTED = [1, 1, 3, 15, 111, 1119, 14487, 230943, 4395855, 97608831]
 RELAXED = [1, 1, 3, 16, 127, 1363, 18628, 311250, 6173791, 142190703]
@@ -105,3 +106,52 @@ def test_word_counts_edges():
         with pytest.raises(ValueError) as word_error:
             word_counts(*bad)
         assert str(word_error.value) == str(table_error.value)
+
+
+BOUNDS = [None, *range(13)]
+
+
+@pytest.mark.parametrize("kind", ["compacted", "relaxed"])
+def test_level_recurrence_equals_the_letter_dp(kind):
+    for bound in BOUNDS:
+        want = letter_word_counts(kind, 200, bound)
+        assert word_counts(kind, 200, bound) == want
+        # heights are pruned against nmax, so every smaller nmax is its own case
+        for n in range(61):
+            assert word_counts(kind, n, bound) == want[:n + 1], (n, bound)
+        assert word_counts(kind, 123, bound) == want[:124]
+
+
+def test_level_matrix_is_lower_hessenberg_and_toeplitz():
+    assert level_matrix("compacted", 3, 4) == [
+        [4, 1, 0, 0],
+        [13, 4, 1, 0],
+        [52, 13, 4, 1],
+        [208, 52, 13, 4],
+    ]
+    assert level_matrix("relaxed", 3, 3) == [[4, 1, 0], [16, 4, 1], [64, 16, 4]]
+
+
+@pytest.mark.parametrize("kind", ["compacted", "relaxed"])
+def test_level_recurrence_equals_dense_products(kind):
+    # the dense products prune no height, so each nmax checks the pruning
+    for size in range(1, 7):
+        want = dense_level_counts(kind, 30, size)
+        for n in range(31):
+            assert word_counts(kind, n, size - 1) == want[:n + 1], (n, size)
+    # no tree of at most 30 nodes has right height 30
+    want = dense_level_counts(kind, 30, 31)
+    for n in range(31):
+        assert word_counts(kind, n) == want[:n + 1], n
+
+
+@pytest.mark.parametrize("bound", [-1, -2, -3])
+def test_word_counts_rejects_a_negative_bound(bound):
+    with pytest.raises(ValueError) as filter_error:
+        GenFilter(5, bound, "compacted")
+    for kind in ("compacted", "relaxed"):
+        for n in (0, 5):
+            with pytest.raises(ValueError) as word_error:
+                word_counts(kind, n, bound)
+            assert str(word_error.value) == str(filter_error.value)
+            assert str(word_error.value) == "right-height bound must be >= 0"
