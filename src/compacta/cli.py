@@ -146,8 +146,10 @@ def _cmd_operator(args) -> int:
 
 def _cmd_asymptotics(args) -> int:
     data = asympt.singularity_data(args.k, args.family)
-    # fit before printing, so that a bad --upto prints nothing to stdout
+    # fit and check before printing, so that a bad --upto prints nothing
     fit = asympt.fit_constant(args.k, args.family, args.upto) if args.fit else None
+    if args.emit_plot and args.upto < 1:
+        raise ValueError(f"upto must be >= 1, got {args.upto}")
     print(f"k: {data.k}")
     print(f"family: {data.family}")
     print(f"rho: {float(data.rho):.12f}")

@@ -58,10 +58,6 @@ class UidTable:
 
     rows: tuple[tuple[Triple, int], ...]
 
-    @property
-    def counter(self) -> int:
-        return len(self.rows)
-
 
 def uid_compact(tree: BinaryTree | str) -> tuple[RelaxedDag, UidTable]:
     """Compact a full binary tree, given as text or as a ``BinaryTree`` whose

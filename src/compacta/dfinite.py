@@ -1,20 +1,25 @@
-"""From annihilating operators to coefficient recurrences and exact streams.
+"""From annihilating operators to recurrences on counts, and exact streams.
 
-For an operator sum_i p_i(z) D^i applied to an ordinary power series
-sum a_nu z^nu, comparing the coefficient of z^nu gives
+Everything here runs on the counts c_n = n! a_n, where sum a_n z^n is the
+exponential generating function.  The term p_{i,e} z^e D^i of an operator
+sum_i p_i(z) D^i sends a_m z^m to m^falling(i) a_m z^(m-i+e).  Let j_min be
+the least e - i of a nonzero term.  The coefficient of z^(n+j_min) of the
+image, times n!, is the normal form
 
-    sum_j ( sum_i p_{i,i+j} * (nu - j)^falling(i) ) a_{nu-j} = 0,
+    sum_{j=0}^{s} q_j(n) c_{n-j},  q_j = sum_{e-i-j_min = j} p_{i,e} n^falling(e-j_min),
 
-valid for every nu >= 0 with a_m = 0 for m < 0.  Re-indexing so the leading
-term is a_n yields the normal form sum_{j=0}^{s} q_j(n) a_{n-j} = 0, valid
-for n >= valid_from, with q_0 vanishing exactly at the indices where the
-forward recurrence cannot determine a value; seeding past the last
-nonnegative integer root of q_0 makes the stream unique.
+since n! (n-j)^falling(i) a_{n-j} = n^falling(i+j) c_{n-j}.  It vanishes for
+every n >= valid_from = max(-j_min, 0), with c_m = 0 for m < 0: this is the
+D-finite to P-recursive correspondence (Stanley, "Differentiably finite
+power series", Eur. J. Combin. 1, 1980) written on counts.  Within one j
+the terms have distinct i, so their falling factorials have distinct
+degrees and cannot cancel: q_0 and q_s, read off the extreme terms, are
+nonzero.  q_0 vanishes exactly at the indices where the forward recurrence
+cannot determine a count; seeding past its last nonnegative integer root
+makes the stream unique.
 
-The stream itself runs on the n!-scaled integer counts: multiplying the
-relation by n! turns q_j(n) into q_j(n) * n^falling(j).  In both operator
-families q_0 = +-n^falling(d), and it divides every such term as a
-polynomial at each k tried (0-40, 60, 100), so `count_form` divides it out
+In both operator families q_0 = +-n^falling(d), and it divides every q_j as
+a polynomial at each k tried (0-40, 60, 100), so `count_form` divides it out
 once with `IntPoly.divexact`, and each step is c_n = -sum_j r_j(n) c_{n-j}:
 a few multiplies by small integers and no division.  That exact division
 proves, for every n at once, that integer seeds stream integers.  A
@@ -58,14 +63,15 @@ from math import factorial
 from operator import itemgetter
 
 from .operators import DiffOperator, build_operator
-from .poly import IntPoly, falling_factorial_poly
+from .poly import IntPoly
 from .recurrences import build_table, word_counts
 
 
 class IntegralityError(ArithmeticError):
-    """A count is not an integer (a seed, or a step whose division leaves a
-    remainder), or a count in the prefix `seed` checks disagrees with the
-    word counts.  Past that prefix a wrong recurrence can stream integers."""
+    """A count is not an integer (a seed passed as a non-integral Fraction,
+    or a step whose division leaves a remainder), or a count in the prefix
+    `seed` checks disagrees with the word counts.  Past that prefix a wrong
+    recurrence can stream integers."""
 
 
 # Decimal arithmetic that never rounds: any result that would need rounding
@@ -79,9 +85,9 @@ EXACT = decimal.Context(
 
 @dataclass(frozen=True)
 class CoeffRecurrence:
-    """sum_{j=0}^{s} coeffs[j](n) * a_{n-j} = 0 on ordinary coefficients.
+    """sum_{j=0}^{s} coeffs[j](n) * c_{n-j} = 0 on the counts c_n = n! a_n.
 
-    Guaranteed for n >= valid_from (with a_m = 0 for m < 0); coeffs[0] is
+    Guaranteed for n >= valid_from (with c_m = 0 for m < 0); coeffs[0] is
     not identically zero.
     """
 
@@ -92,22 +98,20 @@ class CoeffRecurrence:
     def span(self) -> int:
         return len(self.coeffs) - 1
 
-    def leading_integer_roots(self, scan_limit: int | None = None) -> list[int]:
+    def leading_integer_roots(self) -> list[int]:
         """Nonnegative integer roots of q_0 up to a scan bound."""
         q0 = self.coeffs[0]
-        if scan_limit is None:
-            scan_limit = self.valid_from + self.span + max(q0.degree, 1) + 16
+        scan_limit = self.valid_from + self.span + max(q0.degree, 1) + 16
         return [n for n in range(scan_limit + 1) if q0(n) == 0]
 
     @cached_property
     def count_form(self) -> tuple[IntPoly, tuple[IntPoly, ...], bool]:
-        """(q_0, (-r_1, ..., -r_s), monic): count_n = -sum_j r_j(n) count_{n-j}.
+        """(q_0, (-r_1, ..., -r_s), monic): c_n = -sum_j r_j(n) c_{n-j}.
 
-        Multiplying the a_{n-j} relation by n!/(n-j)! gives q_j(n) n^falling(j);
-        monic means q_0 divided each of these exactly, so r_j is that quotient,
-        and otherwise r_j is the product itself and a step divides by q_0(n).
+        monic means q_0 divided every q_j exactly, so r_j is that quotient;
+        otherwise r_j is q_j itself and a step divides by q_0(n).
         """
-        q0, *rest = (q * falling_factorial_poly(j) for j, q in enumerate(self.coeffs))
+        q0, *rest = self.coeffs
         try:
             return q0, tuple(-p.divexact(q0) for p in rest), True
         except ValueError:
@@ -115,37 +119,32 @@ class CoeffRecurrence:
 
 
 def ode_to_recurrence(op: DiffOperator) -> CoeffRecurrence:
-    """Coefficient extraction; applying the result to the ordinary
-    coefficients of any series the operator annihilates gives 0."""
+    """The recurrence on counts (module docstring): the term p_{i,e} z^e D^i
+    adds p_{i,e} n^falling(e - j_min) to coeffs[e - i - j_min]."""
     if op.is_zero():
         raise ValueError("zero operator has no recurrence")
-    terms: dict[int, IntPoly] = {}
-    for i, p in enumerate(op.coeffs):
-        for zdeg, c in enumerate(p.coeffs):
-            if c == 0:
-                continue
-            j = zdeg - i
-            contrib = c * falling_factorial_poly(i, offset=-j)
-            terms[j] = terms.get(j, IntPoly()) + contrib
-    js = [j for j, q in terms.items() if not q.is_zero()]
-    j_min, j_max = min(js), max(js)
-    shifted = []
-    for j in range(j_min, j_max + 1):
-        q = terms.get(j, IntPoly())
-        shifted.append(q.compose_shift(j_min))
-    return CoeffRecurrence(tuple(shifted), valid_from=max(-j_min, 0))
+    terms = [(i, e, c) for i, p in enumerate(op.coeffs) for e, c in enumerate(p.coeffs) if c]
+    j_min = min(e - i for i, e, _ in terms)
+    j_max = max(e - i for i, e, _ in terms)
+    falling = [IntPoly(1)]  # falling[m] = n^falling(m)
+    for m in range(max(e for _, e, _ in terms) - j_min):
+        falling.append(falling[m] * IntPoly(-m, 1))
+    coeffs = [IntPoly()] * (j_max - j_min + 1)
+    for i, e, c in terms:
+        coeffs[e - i - j_min] += c * falling[e - j_min]
+    return CoeffRecurrence(tuple(coeffs), valid_from=max(-j_min, 0))
 
 
 @dataclass(frozen=True)
 class SeededSequence:
-    """A recurrence plus enough exact leading coefficients to run it.
+    """A recurrence plus enough exact leading counts to run it.
 
-    seeds[n] is the ordinary coefficient a_n for n < N0 = len(seeds); the
-    stream reports a_n * n!, asserted integral.
+    seeds[n] is the count c_n for n < N0 = len(seeds), an int; the stream
+    yields each seed as it is and runs the recurrence past them.
     """
 
     rec: CoeffRecurrence
-    seeds: tuple[Fraction, ...]
+    seeds: tuple[int, ...]
 
     def __post_init__(self):
         n0 = len(self.seeds)
@@ -184,7 +183,7 @@ def _step(form, window, n: int, zero):
 
 
 def iter_counts(seq: SeededSequence, num: type = int):
-    """Yield (n, count) forever; count = a_n * n! exactly, of type num.
+    """Yield (n, c_n) forever, exactly, in the number type num.
 
     num is `int` or `decimal.Decimal`.  A Decimal step runs in EXACT, so a
     non-integral or unrepresentable value raises instead of rounding; the
@@ -197,10 +196,9 @@ def iter_counts(seq: SeededSequence, num: type = int):
     form = seq.rec.count_form
     for n in count():
         if n < len(seq.seeds):
-            c = seq.seeds[n] * factorial(n)
+            c = seq.seeds[n]
             if c.denominator != 1:
-                raise IntegralityError(
-                    f"seed a_{n} = {seq.seeds[n]} is not integral after scaling")
+                raise IntegralityError(f"seed c_{n} = {c} is not an integer")
             c = num(int(c))
         elif num is Decimal:
             with localcontext(EXACT):
@@ -212,7 +210,7 @@ def iter_counts(seq: SeededSequence, num: type = int):
 
 
 def stream(seq: SeededSequence, upto: int, num: type = int):
-    """Lazy iterator over the exact counts a_n * n! for n = 0..upto.
+    """Lazy iterator over the exact counts c_n for n = 0..upto.
 
     upto is checked when called; the counts are computed as they are
     pulled, in the number type num (see iter_counts).
@@ -223,15 +221,16 @@ def stream(seq: SeededSequence, upto: int, num: type = int):
 
 
 def seed(k: int, family: str, n0: int | None = None) -> SeededSequence:
-    """Seeded sequence for the bounded-right-height counting series.
+    """Seeded sequence for the counts of trees of right height <= k.
 
     Default n0 is the smallest sound choice (just past the integer roots of
-    the leading recurrence coefficient).  Seeds n <= k+1, where bounded and
-    unbounded counts coincide, come from the count table; any seeds past
-    that come from the bounded word counts.  The seeds and the first
-    2*span + 10 steps must equal those word counts, or IntegralityError
-    names the first n that differs.  At k = 0 both families count the n!
-    left combs, so both run on B_0.
+    the leading recurrence coefficient).  The seeds are integer counts,
+    passed to the stream unchanged: those n <= k+1, where bounded and
+    unbounded counts coincide, come from the count table, and any past that
+    from the bounded word counts.  The seeds and the first 2*span + 10 steps
+    must equal those word counts, or IntegralityError names the first n
+    that differs.  At k = 0 both families count the n! left combs, so both
+    run on B_0.
     """
     if family not in ("relaxed", "compacted"):
         raise ValueError(f"family must be 'relaxed' or 'compacted', got {family!r}")
@@ -246,9 +245,7 @@ def seed(k: int, family: str, n0: int | None = None) -> SeededSequence:
         raise ValueError(f"n0 = {n0} too small, need at least {minimal}")
     words = word_counts(family, n0 + 2 * rec.span + 10, k)
     counts = build_table(family, min(n0 - 1, k + 1)).counts() + words[k + 2:n0]
-    seq = SeededSequence(
-        rec, tuple(Fraction(c, factorial(n)) for n, c in enumerate(counts))
-    )
+    seq = SeededSequence(rec, tuple(counts))
     # each step runs on the word counts before it, so the first n that
     # differs is the first streamed count that differs
     for n, want in enumerate(words):
@@ -290,30 +287,14 @@ def _double_factorial_odd(n: int) -> int:
     return out
 
 
-def _golden_power_component(n: int) -> Fraction:
-    """b with ((3+sqrt5)/2)^n = a + b*sqrt5 over the rationals."""
-    a, b = Fraction(1), Fraction(0)
-    base_a, base_b = Fraction(3, 2), Fraction(1, 2)
-    e = n
-    while e:
-        if e & 1:
-            a, b = a * base_a + 5 * b * base_b, a * base_b + b * base_a
-        base_a, base_b = (
-            base_a * base_a + 5 * base_b * base_b,
-            2 * base_a * base_b,
-        )
-        e >>= 1
-    return b
-
-
 def _relaxed_two_closed_form(n: int) -> int:
-    # (n-1)!/sqrt5 * (((3+sqrt5)/2)^n - ((3-sqrt5)/2)^n); the conjugate pair
-    # makes the bracket 2*b*sqrt5, so the surd cancels exactly.
+    # Binet turns (n-1)!/sqrt5 * (phi^(2n) - psi^(2n)) into (n-1)! F_{2n}
     if n == 0:
         return 1
-    value = factorial(n - 1) * 2 * _golden_power_component(n)
-    assert value.denominator == 1
-    return int(value)
+    fib, nxt = 0, 1
+    for _ in range(2 * n):
+        fib, nxt = nxt, fib + nxt
+    return factorial(n - 1) * fib
 
 
 def _rising(x: Fraction, m: int) -> Fraction:

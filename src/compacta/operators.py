@@ -72,9 +72,6 @@ class DiffOperator:
     def __mul__(self, other: "DiffOperator") -> "DiffOperator":
         return op_compose(self, other)
 
-    def scale(self, c: int) -> "DiffOperator":
-        return DiffOperator(*(p * c for p in self.coeffs))
-
     def __repr__(self) -> str:
         return f"DiffOperator({', '.join(map(repr, self.coeffs))})"
 

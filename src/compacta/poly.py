@@ -84,15 +84,6 @@ class IntPoly:
             acc = acc * x + c
         return acc
 
-    def compose_shift(self, offset: int) -> "IntPoly":
-        """Return p(n + offset) as a polynomial in n."""
-        # Horner in (n + offset): acc(n) <- acc(n) * (n + offset) + c
-        acc = IntPoly()
-        step = IntPoly(offset, 1)
-        for c in reversed(self.coeffs):
-            acc = acc * step + IntPoly(c)
-        return acc
-
     def divexact(self, other: "IntPoly") -> "IntPoly":
         """Exact polynomial division; raises ValueError on nonzero remainder."""
         if other.is_zero():
@@ -129,7 +120,7 @@ ONE = IntPoly(1)
 Z = IntPoly(0, 1)
 
 
-def format_poly(p: IntPoly, var: str = "z") -> str:
+def format_poly(p: IntPoly) -> str:
     """Human form in ascending degree, e.g. ``1 - 3z + z^2``."""
     if p.is_zero():
         return "0"
@@ -141,22 +132,14 @@ def format_poly(p: IntPoly, var: str = "z") -> str:
         if i == 0:
             term = str(mag)
         elif i == 1:
-            term = f"{mag}{var}" if mag != 1 else var
+            term = f"{mag}z" if mag != 1 else "z"
         else:
-            term = f"{mag}{var}^{i}" if mag != 1 else f"{var}^{i}"
+            term = f"{mag}z^{i}" if mag != 1 else f"z^{i}"
         if not parts:
             parts.append(term if c > 0 else f"-{term}")
         else:
             parts.append(f"+ {term}" if c > 0 else f"- {term}")
     return " ".join(parts)
-
-
-def falling_factorial_poly(j: int, offset: int = 0) -> IntPoly:
-    """(n + offset)(n + offset - 1)...(n + offset - j + 1) as a polynomial in n."""
-    acc = ONE
-    for t in range(j):
-        acc = acc * IntPoly(offset - t, 1)
-    return acc
 
 
 def iter_family(base: tuple, step):

@@ -5,7 +5,6 @@ computes; none has a caller in the package itself.
 """
 
 from decimal import localcontext
-from math import factorial
 
 from mpmath import mp, mpf
 
@@ -18,7 +17,7 @@ from compacta.dfinite import (
     iter_sequence,
 )
 from compacta.operators import DiffOperator
-from compacta.poly import IntPoly, chebyshev_t, chebyshev_u, falling_factorial_poly
+from compacta.poly import ONE, IntPoly, chebyshev_t, chebyshev_u
 
 
 def apply_operator(op: DiffOperator, series, terms: int):
@@ -51,30 +50,72 @@ def apply_operator(op: DiffOperator, series, terms: int):
     return out
 
 
-def residual(rec: CoeffRecurrence, series, n: int):
-    """Value of the recurrence's relation at index n over the given
-    ordinary coefficients, with a_m = 0 outside the series."""
+def compose_shift(p: IntPoly, offset: int) -> IntPoly:
+    """p(n + offset) as a polynomial in n."""
+    # Horner in (n + offset): acc(n) <- acc(n) * (n + offset) + c
+    acc = IntPoly()
+    step = IntPoly(offset, 1)
+    for c in reversed(p.coeffs):
+        acc = acc * step + IntPoly(c)
+    return acc
+
+
+def falling_factorial_poly(j: int, offset: int = 0) -> IntPoly:
+    """(n + offset)(n + offset - 1)...(n + offset - j + 1) as a polynomial in n."""
+    acc = ONE
+    for t in range(j):
+        acc = acc * IntPoly(offset - t, 1)
+    return acc
+
+
+def ordinary_recurrence(op: DiffOperator) -> CoeffRecurrence:
+    """The recurrence sum_j q_j(n) a_{n-j} = 0 on the ordinary coefficients
+    a_n = c_n/n!, by coefficient extraction: p_{i,e} z^e D^i adds
+    p_{i,e} (N - j)^falling(i) to the coefficient of a_{N-j}, j = e - i, and
+    each group is shifted to n = N - j_min.  `ode_to_recurrence` gives the
+    same relation times n!, so its coeffs[j] is q_j * n^falling(j)."""
+    if op.is_zero():
+        raise ValueError("zero operator has no recurrence")
+    terms: dict[int, IntPoly] = {}
+    for i, p in enumerate(op.coeffs):
+        for zdeg, c in enumerate(p.coeffs):
+            if c == 0:
+                continue
+            j = zdeg - i
+            contrib = c * falling_factorial_poly(i, offset=-j)
+            terms[j] = terms.get(j, IntPoly()) + contrib
+    js = [j for j, q in terms.items() if not q.is_zero()]
+    j_min, j_max = min(js), max(js)
+    shifted = []
+    for j in range(j_min, j_max + 1):
+        q = terms.get(j, IntPoly())
+        shifted.append(compose_shift(q, j_min))
+    return CoeffRecurrence(tuple(shifted), valid_from=max(-j_min, 0))
+
+
+def residual(rec: CoeffRecurrence, counts, n: int):
+    """Value of the recurrence's relation at index n over the given counts,
+    with c_m = 0 outside the list."""
     acc = 0
     for j, q in enumerate(rec.coeffs):
-        if 0 <= n - j < len(series):
-            acc += q(n) * series[n - j]
+        if 0 <= n - j < len(counts):
+            acc += q(n) * counts[n - j]
     return acc
 
 
 def division_counts(seq: SeededSequence, num: type = int):
-    """Yield (n, count) forever, count = a_n * n!, by one exact division per
-    step: count_n = -sum_j q_j(n) n^falling(j) count_{n-j} / q_0(n), with
-    the remainder checked.  The stream as it was before its count form was
-    made monic; a step runs in EXACT, which only a Decimal step reads."""
-    qpolys = tuple(q * falling_factorial_poly(j) for j, q in enumerate(seq.rec.coeffs))
+    """Yield (n, c_n) forever by one exact division per step:
+    c_n = -sum_j q_j(n) c_{n-j} / q_0(n), with the remainder checked.  The
+    stream as it was before its count form was made monic; a step runs in
+    EXACT, which only a Decimal step reads."""
+    qpolys = seq.rec.coeffs
     window: list = []  # last `span` counts, newest last
     n = 0
     while True:
         if n < len(seq.seeds):
-            c = seq.seeds[n] * factorial(n)
+            c = seq.seeds[n]
             if c.denominator != 1:
-                raise IntegralityError(
-                    f"seed a_{n} = {seq.seeds[n]} is not integral after scaling")
+                raise IntegralityError(f"seed c_{n} = {c} is not an integer")
             c = num(int(c))
         else:
             with localcontext(EXACT):

@@ -8,7 +8,9 @@ lines; every expected constant here is frozen from an independent source
 import math
 import random
 from fractions import Fraction
+from itertools import islice
 
+from compacta import operators
 from compacta.asympt import (
     TABLE1_REFERENCE,
     fit_constant,
@@ -33,6 +35,7 @@ from compacta.poly import (
     IntPoly,
     binomial_alternating_poly as leading_coefficient_closed_form,
     chebyshev_u,
+    iter_family,
     quarter_square_transform,
 )
 from compacta.recurrences import build_table
@@ -112,8 +115,11 @@ def test_criterion_04_operator_reproduction():
 
 
 def test_criterion_05_polynomial_identities():
-    for k in range(1, 41):
-        op = relaxed_operator(k)
+    # one bottom-up walk per family, members 1..40 and 1..20
+    relaxed = islice(iter_family(operators._RELAXED, operators._relaxed_operator_step), 1, 41)
+    compacted = islice(
+        iter_family(operators._COMPACTED, operators._compacted_operator_step), 1, 21)
+    for k, op in enumerate(relaxed, 1):
         top = op.coeff(k)
         assert top == leading_coefficient_closed_form(k)
         assert quarter_square_transform(top, k + 2) == chebyshev_u(k + 2)
@@ -121,12 +127,13 @@ def test_criterion_05_polynomial_identities():
         for i in range((k - 2) // 2 + 1):
             if k >= 2:
                 assert op.coeff(i).is_zero()
-    for k in range(1, 21):
-        comp = compacted_operator(k)
-        assert comp.coeff(k + 1) == relaxed_operator(k).coeff(k)
-        assert quarter_square_transform(
-            comp.coeff(k), k + 2
-        ) == subleading_compacted_transform_reference(k + 2)
+        if k <= 20:
+            comp = next(compacted)
+            assert comp.coeff(k + 1) == top
+            assert quarter_square_transform(
+                comp.coeff(k), k + 2
+            ) == subleading_compacted_transform_reference(k + 2)
+    assert k == 40 and next(compacted, None) is None
     report(5, "coefficient identities hold (top family to k = 40, rest to k = 20)")
 
 

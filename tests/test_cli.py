@@ -109,8 +109,7 @@ def test_sequence_leaves_the_decimal_context_alone(capsys):
 def _bad_seed(sq):
     # the last seed count off by one half
     m = len(sq.seeds) - 1
-    return dfinite.SeededSequence(
-        sq.rec, sq.seeds[:m] + (sq.seeds[m] + Fraction(1, 2 * factorial(m)),))
+    return dfinite.SeededSequence(sq.rec, sq.seeds[:m] + (sq.seeds[m] + Fraction(1, 2),))
 
 
 def _bad_division(sq):
@@ -121,7 +120,7 @@ def _bad_division(sq):
 
 
 @pytest.mark.parametrize("corrupt, out, err", [
-    (_bad_seed, " 0 1\n 1 1\n", "error: seed a_2 = 7/4 is not integral after scaling\n"),
+    (_bad_seed, " 0 1\n 1 1\n", "error: seed c_2 = 7/2 is not an integer\n"),
     (_bad_division, " 0 1\n 1 1\n 2 3\n 3 8\n", "error: non-integral value at n = 4\n"),
 ])
 def test_sequence_stops_at_a_bad_term(corrupt, out, err, monkeypatch, capsys):
@@ -260,6 +259,17 @@ def test_asymptotics_fit_and_plot(tmp_path, capsys):
     assert "constant estimate: 1.000000000" in capsys.readouterr().out
     lines = plot.read_text().splitlines()
     assert lines[0] == "n,u" and len(lines) == 65
+
+
+@pytest.mark.parametrize("upto", ["-3", "0"])
+def test_plot_needs_a_positive_upto(upto, tmp_path, capsys):
+    plot = tmp_path / "u.csv"
+    argv = ["asymptotics", "--k", "1", "--family", "relaxed", "--upto", upto,
+            "--emit-plot", str(plot)]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: upto must be >= 1, got {upto}\n")
+    assert not plot.exists()
 
 
 def test_fit_needs_a_positive_upto(capsys):

@@ -54,7 +54,7 @@ def test_uid_table_for_shared_squares_expression():
         (("+", 3, 4), 6),
         (("*", 5, 6), 7),
     )
-    assert table.counter == 7
+    assert len(table.rows) == 7
     assert lookup(table, ("*", 1, 1)) == 3
     assert validate(dag) is None
     assert dag.n == 7
@@ -63,7 +63,7 @@ def test_uid_table_for_shared_squares_expression():
 def test_single_leaf_compacts_to_nothing():
     dag, table = uid_compact(parse_tree("."))
     assert dag.n == 0 and dag.spine is None
-    assert table.rows == () and table.counter == 0
+    assert table.rows == ()
 
 
 def test_complete_tree_compacts_to_height_levels():
@@ -71,13 +71,13 @@ def test_complete_tree_compacts_to_height_levels():
     for height in range(2, 6):
         level = f"({level} {level})"
         dag, table = uid_compact(parse_tree(level))
-        assert dag.n == height == table.counter
+        assert dag.n == height == len(table.rows)
 
 
 def test_size_matches_distinct_subtrees():
     t = parse_tree("(((. .) (. .)) (. .))")  # distinct: (. .), ((..)(..)), root
     dag, table = uid_compact(t)
-    assert dag.n == 3 == table.counter
+    assert dag.n == 3 == len(table.rows)
 
 
 def test_unfold_at_leaf():
@@ -333,7 +333,7 @@ def test_text_compacts_like_its_tree_on_random_trees(regime):
 def test_text_compacts_like_its_tree_on_spines(leg, left):
     for depth in (1, 2, 3, 17, 300):
         dag, table = _same_compaction(_spine_text(depth, leg, left))
-        assert dag.n == table.counter == depth
+        assert dag.n == len(table.rows) == depth
 
 
 @pytest.mark.parametrize("text", [

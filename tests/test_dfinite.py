@@ -23,7 +23,12 @@ from compacta.exhaustive import brute_count
 from compacta.operators import build_operator, compacted_operator, relaxed_operator
 from compacta.poly import IntPoly
 from compacta.recurrences import build_table, word_counts
-from references import apply_operator, division_counts
+from references import (
+    apply_operator,
+    division_counts,
+    falling_factorial_poly,
+    ordinary_recurrence,
+)
 from references import residual as rec_residual  # `residual` is a local below
 
 
@@ -38,16 +43,16 @@ def double_factorial_odd(n):
 
 
 def test_order_one_recurrence_shape():
-    # (1-2z)D - 1 annihilates sum (2n-1)!! z^n/n!; the induced relation is
-    # n a_n = (2n-1) a_{n-1}
+    # (1-2z)D - 1 annihilates sum (2n-1)!! z^n/n!; the induced relation on
+    # the counts is n c_n = n(2n-1) c_{n-1}
     rec = ode_to_recurrence(relaxed_operator(1))
     assert rec.span == 1
     assert rec.valid_from == 1
     assert rec.coeffs[0] == IntPoly(0, 1)
-    assert rec.coeffs[1] == IntPoly(1, -2)
-    a = [Fraction(double_factorial_odd(n), factorial(n)) for n in range(10)]
+    assert rec.coeffs[1] == IntPoly(0, 1, -2)
+    c = [double_factorial_odd(n) for n in range(10)]
     for n in range(1, 10):
-        assert rec_residual(rec, a, n) == 0
+        assert rec_residual(rec, c, n) == 0
 
 
 def test_recurrence_annihilates_truncated_series():
@@ -60,7 +65,18 @@ def test_recurrence_annihilates_truncated_series():
         assert all(v == 0 for v in residual)
         rec = ode_to_recurrence(op)
         for n in range(rec.valid_from, 50):
-            assert rec_residual(rec, series, n) == 0
+            assert rec_residual(rec, counts, n) == 0
+
+
+@pytest.mark.parametrize("family", ["relaxed", "compacted"])
+@pytest.mark.parametrize("k", [*range(13), 20, 40])
+def test_count_recurrence_is_the_ordinary_one_times_n_factorial(k, family):
+    # relaxed k = 0 is the base A_0 = 1 - z
+    op = build_operator(family, k)
+    got, ordinary = ode_to_recurrence(op), ordinary_recurrence(op)
+    assert (got.valid_from, got.span) == (ordinary.valid_from, ordinary.span)
+    for j, q in enumerate(ordinary.coeffs):
+        assert got.coeffs[j] == q * falling_factorial_poly(j), j
 
 
 def test_leading_integer_roots():
@@ -73,7 +89,7 @@ def test_leading_integer_roots():
 def test_seeded_sequence_rejects_short_seeds():
     rec = ode_to_recurrence(relaxed_operator(3))
     with pytest.raises(ValueError):
-        SeededSequence(rec, (Fraction(1),))
+        SeededSequence(rec, (1,))
 
 
 # --- seeding -----------------------------------------------------------------
@@ -84,18 +100,18 @@ def test_default_seeds_come_from_tables():
     for k in range(1, 8):
         sq = seed(k, "relaxed")
         assert len(sq.seeds) <= k + 2
-        for n, a in enumerate(sq.seeds):
-            assert a == Fraction(rt.count(n), factorial(n))
+        for n, c in enumerate(sq.seeds):
+            assert type(c) is int and c == rt.count(n)
 
 
 def test_explicit_seed_count():
     sq = seed(2, "relaxed", n0=4)
-    assert [a * factorial(n) for n, a in enumerate(sq.seeds)] == [1, 1, 3, 16]
+    assert sq.seeds == (1, 1, 3, 16)
 
 
 def test_seed_beyond_tables_uses_word_counts():
     sq = seed(2, "relaxed", n0=5)
-    assert sq.seeds[4] * factorial(4) == 126  # height-filtered count at n = 4
+    assert sq.seeds[4] == 126  # height-filtered count at n = 4
 
 
 @pytest.mark.parametrize("family", ["relaxed", "compacted"])
@@ -103,21 +119,19 @@ def test_seed_beyond_tables_uses_word_counts():
 def test_seeds_far_past_the_tables(k, family):
     # brute force at n = 13 would be far over the enumeration budget
     sq = seed(k, family, n0=14)
-    assert [a * factorial(n) for n, a in enumerate(sq.seeds)] == word_counts(family, 13, k)
+    assert sq.seeds == tuple(word_counts(family, 13, k))
     assert list(sequence_values(k, family, 40, n0=14)) == list(
         sequence_values(k, family, 40))
 
 
 def test_compacted_seed_small():
     sq = seed(1, "compacted", n0=3)
-    assert [a * factorial(n) for n, a in enumerate(sq.seeds)] == [1, 1, 3]
+    assert sq.seeds == (1, 1, 3)
 
 
 def test_relaxed_zero_has_no_operator():
     sq = seed(0, "relaxed")
-    assert [a * factorial(n) for n, a in enumerate(sq.seeds)] == [
-        factorial(n) for n in range(len(sq.seeds))
-    ]
+    assert sq.seeds == tuple(factorial(n) for n in range(len(sq.seeds)))
     assert list(sequence_values(0, "relaxed", 6)) == [factorial(n) for n in range(7)]
 
 
@@ -187,15 +201,15 @@ def test_stream_monotone_in_k():
 
 def test_non_integral_seed_raises():
     rec = ode_to_recurrence(compacted_operator(1))
-    wrong = SeededSequence(rec, (Fraction(1), Fraction(1, 3)))
+    wrong = SeededSequence(rec, (1, Fraction(1, 3)))
     with pytest.raises(IntegralityError):
         list(stream(wrong, 30))
 
 
 def test_inexact_division_raises():
-    # 2 a_n + n a_{n-1} = 0 forces a half-integer at the first step
+    # 2 c_n + n c_{n-1} = 0 forces a half-integer at the first step
     rec = CoeffRecurrence((IntPoly(2), IntPoly(0, 1)), valid_from=0)
-    odd = SeededSequence(rec, (Fraction(1),))
+    odd = SeededSequence(rec, (1,))
     with pytest.raises(IntegralityError):
         list(stream(odd, 5))
 
@@ -211,8 +225,7 @@ def test_relaxed_zero_streams_factorials():
 def half_count_seed(sq):
     # the last seed's count off by one half: no longer an integer count
     m = len(sq.seeds) - 1
-    half = Fraction(1, 2 * factorial(m))
-    return SeededSequence(sq.rec, sq.seeds[:m] + (sq.seeds[m] + half,))
+    return SeededSequence(sq.rec, sq.seeds[:m] + (sq.seeds[m] + Fraction(1, 2),))
 
 
 def doubled_leading(sq):
@@ -266,8 +279,7 @@ def test_decimal_stream_raises_where_the_int_stream_does(corrupt, k, family):
 
 
 def test_decimal_stream_rejects_an_inexact_division():
-    odd = SeededSequence(CoeffRecurrence((IntPoly(2), IntPoly(0, 1)), valid_from=0),
-                         (Fraction(1),))
+    odd = SeededSequence(CoeffRecurrence((IntPoly(2), IntPoly(0, 1)), valid_from=0), (1,))
     assert stream_error(odd, Decimal) == ("non-integral value at n = 1", [1])
 
 
@@ -300,10 +312,10 @@ def test_count_form_is_certified_monic(family):
 
 @pytest.mark.parametrize("num", [int, Decimal])
 def test_a_form_that_is_not_monic_divides_each_step(num):
-    # 2 a_n = (n-1) a_{n-1}: the scaled term n(n-1) is not a multiple of 2 in
-    # Z[n], but n(n-1)/2 is an integer at every n
-    rec = CoeffRecurrence((IntPoly(2), IntPoly(1, -1)), valid_from=0)
-    seq = SeededSequence(rec, (Fraction(1), Fraction(1)))
+    # 2 c_n = n(n-1) c_{n-1}: n(n-1) is not a multiple of 2 in Z[n], but
+    # n(n-1)/2 is an integer at every n
+    rec = CoeffRecurrence((IntPoly(2), IntPoly(0, 1, -1)), valid_from=0)
+    seq = SeededSequence(rec, (1, 1))
     assert not rec.count_form[2]
     got = list(stream(seq, 8, num))
     assert got == [1, 1, 1, 3, 18, 180, 2700, 56700, 1587600]
@@ -312,15 +324,15 @@ def test_a_form_that_is_not_monic_divides_each_step(num):
 
 @pytest.mark.parametrize("num", [int, Decimal])
 @pytest.mark.parametrize("q1, monic", [
-    (IntPoly(30, -1), True),  # n-30 divides -(n-30) n: count_n = n count_{n-1}
-    (IntPoly(30, 29, -1), False),  # count_n = n(n+1)/2 count_{n-1}, divided
+    (IntPoly(0, 30, -1), True),  # n-30 divides -(n-30) n: c_n = n c_{n-1}
+    (IntPoly(0, 30, 29, -1), False),  # c_n = n(n+1)/2 c_{n-1}, divided
 ])
 def test_stream_stops_where_the_leading_coefficient_vanishes(q1, monic, num):
     # the root n = 30 lies past the scan of SeededSequence, so only the
     # step's own check stops the stream there
     rec = CoeffRecurrence((IntPoly(-30, 1) * (1 if monic else 2), q1), valid_from=0)
     assert rec.count_form[2] == monic
-    msg, got = stream_error(SeededSequence(rec, (Fraction(1),)), num)
+    msg, got = stream_error(SeededSequence(rec, (1,)), num)
     assert msg == "leading coefficient vanishes at n = 30; seeds must extend past it"
     assert len(got) == 30
 

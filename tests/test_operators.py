@@ -29,6 +29,7 @@ from compacta.poly import (
 )
 from references import (
     apply_operator,
+    compose_shift,
     equal_up_to_scalar,
     reduce_order,
     subleading_compacted_transform_reference,
@@ -71,7 +72,7 @@ def test_poly_basic_arithmetic():
 
 def test_poly_compose_shift():
     p = IntPoly(0, 0, 1)  # n^2
-    assert p.compose_shift(3) == IntPoly(9, 6, 1)  # (n+3)^2
+    assert compose_shift(p, 3) == IntPoly(9, 6, 1)  # (n+3)^2
 
 
 def test_poly_divexact():
@@ -292,7 +293,7 @@ def test_reduce_order_shifts(k):
 
 def test_equal_up_to_scalar():
     a = relaxed_operator(4)
-    assert equal_up_to_scalar(a, a.scale(-7))
+    assert equal_up_to_scalar(a, DiffOperator(*(p * -7 for p in a.coeffs)))
     assert not equal_up_to_scalar(a, relaxed_operator(3))
     b = DiffOperator(IntPoly(1), IntPoly(2))
     c = DiffOperator(IntPoly(1), IntPoly(3))

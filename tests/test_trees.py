@@ -249,6 +249,6 @@ def test_deep_text_round_trips(leg, left):
     tree = parse_tree(text)
     assert print_tree(tree) == text
     dag, table = uid_compact(tree)
-    assert dag.n == table.counter == depth
+    assert dag.n == len(table.rows) == depth
     dag_text = dag_to_text(dag)
     assert dag_to_text(dag_from_text(dag_text)) == dag_text
