@@ -14,12 +14,12 @@ smallest root is rho, and tie the subleading coefficient to delta1.  The
 constant in front has no closed form except in the smallest compacted case,
 so it is estimated by Richardson extrapolation of u_n = count / (n! g^n n^e)
 along a dyadic ladder, in high-precision log-domain arithmetic on the exact
-integers.
+integers (Flajolet and Sedgewick, *Analytic Combinatorics*, 2009, VI.2).
+The fit and the CLI's plot read u_n from one certified ``SingularityData``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,6 +30,7 @@ from .operators import build_operator
 from .poly import IntPoly, binomial_alternating_poly
 
 WORK_PREC = 120  # bits; plenty for the closed forms, the fits and 3-decimal tables
+FIT_ORDER = 3  # Richardson order of the constant fit
 
 TABLE1_REFERENCE = {
     # k: (growth, compacted exponent, relaxed exponent); the exact
@@ -200,20 +201,42 @@ class FitResult:
     estimate: float
     ladder: tuple[tuple[int, float], ...]
     extrapolants: tuple[float, ...]
+    converged: bool  # the last two extrapolants agree to 1e-3 relatively
 
 
-def _as_mpf(x) -> mpf:
-    if isinstance(x, Fraction):
-        return mpf(x.numerator) / x.denominator
-    return mpf(x)
+def _count_mpf(count: int) -> mpf:
+    """mpf(count) for count > 0, rounded from its top prec + 3 bits and a
+    sticky bit: mpmath's pure-Python backend strips every trailing zero bit
+    of an int, and c_n = n! a_n has about n of them."""
+    shift = count.bit_length() - mp.prec - 3
+    if shift <= 0:
+        return mpf(count)
+    top = (count >> shift) | bool(count & ((1 << shift) - 1))
+    return mp.ldexp(mpf(top), shift)
 
 
 def scaled_ratio_log(count: int, n: int, growth: mpf, exponent) -> mpf:
     """log of count / (n! growth^n n^exponent), exactly on the integer."""
-    value = mp.log(mpf(count)) - mp.loggamma(n + 1) - n * mp.log(growth)
+    value = mp.log(_count_mpf(count)) - mp.loggamma(n + 1) - n * mp.log(growth)
     if exponent:
-        value -= _as_mpf(exponent) * mp.log(n)
+        value -= mp.mpmathify(exponent) * mp.log(n)
     return value
+
+
+def scaled_ratios(data: SingularityData, ns) -> list[tuple[int, mpf]]:
+    """(n, u_n) for each n in ns, ascending, from one pass over the stream;
+    a list, so that no precision context is held across a yield."""
+    wanted = set(ns)
+    last = max(wanted)
+    points = []
+    with mp.workprec(WORK_PREC):
+        for n, count in iter_sequence(data.k, data.family):
+            if n in wanted:
+                u = mp.exp(scaled_ratio_log(count, n, data.growth, data.exponent))
+                points.append((n, u))
+            if n >= last:
+                break
+    return points
 
 
 def _richardson(points: list[tuple[int, mpf]], order: int) -> tuple[mpf, list[mpf]]:
@@ -233,38 +256,22 @@ def _richardson(points: list[tuple[int, mpf]], order: int) -> tuple[mpf, list[mp
     return diag[order], diag[: order + 1]
 
 
-def fit_constant(k: int, family: str, n_max: int, order: int = 3) -> FitResult:
-    """Estimate the constant in count ~ const * n! * growth^n * n^exponent.
+def fit_constant(data: SingularityData, n_max: int) -> FitResult:
+    """Estimate the constant in count ~ const * n! * growth^n * n^exponent,
+    with growth and exponent taken from ``data`` as given.
 
     Evaluates u_n on the dyadic ladder n_max, n_max/2, ..., n_max/16 and
-    Richardson-extrapolates in 1/n.  Warns when the last two extrapolants
-    still differ by more than 1e-3 relatively.
+    Richardson-extrapolates in 1/n to order FIT_ORDER.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    data = singularity_data(k, family)
-    ladder_ns = sorted({max(n_max >> j, 1) for j in range(5)})
-    wanted = set(ladder_ns)
+    points = scaled_ratios(data, {max(n_max >> j, 1) for j in range(5)})
     with mp.workprec(WORK_PREC):
-        points: list[tuple[int, mpf]] = []
-        for n, count in iter_sequence(k, family):
-            if n in wanted:
-                points.append(
-                    (n, mp.exp(scaled_ratio_log(count, n, data.growth, data.exponent)))
-                )
-            if n >= n_max:
-                break
-        estimate, diag = _richardson(points, order)
-        if len(diag) >= 2:
-            prev, last = diag[-2], diag[-1]
-            if abs(last - prev) > mpf("1e-3") * abs(last):
-                warnings.warn(
-                    f"constant fit for k={k} {family} not converged: "
-                    f"last extrapolants {float(prev):.6g}, {float(last):.6g}",
-                    stacklevel=2,
-                )
+        estimate, diag = _richardson(points, FIT_ORDER)
+        converged = len(diag) < 2 or abs(diag[-1] - diag[-2]) <= mpf("1e-3") * abs(diag[-1])
         return FitResult(
             float(estimate),
             tuple((n, float(u)) for n, u in points),
             tuple(float(d) for d in diag),
+            converged,
         )

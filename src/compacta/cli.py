@@ -146,24 +146,24 @@ def _cmd_operator(args) -> int:
 
 def _cmd_asymptotics(args) -> int:
     data = asympt.singularity_data(args.k, args.family)
-    # fit and check before printing, so that a bad --upto prints nothing
-    fit = asympt.fit_constant(args.k, args.family, args.upto) if args.fit else None
-    if args.emit_plot and args.upto < 1:
-        raise ValueError(f"upto must be >= 1, got {args.upto}")
+    # fit, check and write the plot before printing, so that a bad --upto or
+    # --emit-plot path prints nothing
+    fit = asympt.fit_constant(data, args.upto) if args.fit else None
+    if args.emit_plot:
+        if args.upto < 1:
+            raise ValueError(f"upto must be >= 1, got {args.upto}")
+        rows = asympt.scaled_ratios(data, range(1, args.upto + 1))
+        with open(args.emit_plot, "w", encoding="utf-8") as fh:
+            fh.write("n,u\n" + "".join(f"{n},{float(u)!r}\n" for n, u in rows))
     print(f"k: {data.k}")
     print(f"family: {data.family}")
     print(f"rho: {float(data.rho):.12f}")
     print(f"growth: {float(data.growth):.12f}")
-    delta1 = data.delta1
-    if isinstance(delta1, Fraction):
-        print(f"delta1: {delta1} ({float(delta1):.12f})")
-    else:
-        print(f"delta1: {float(delta1):.12f}")
-    exponent = data.exponent
-    if isinstance(exponent, Fraction):
-        print(f"exponent: {exponent} ({float(exponent):.12f})")
-    else:
-        print(f"exponent: {float(exponent):.12f}")
+    for name, value in (("delta1", data.delta1), ("exponent", data.exponent)):
+        if isinstance(value, Fraction):
+            print(f"{name}: {value} ({float(value):.12f})")
+        else:
+            print(f"{name}: {float(value):.12f}")
     roots = ", ".join(
         str(r) if isinstance(r, (int, Fraction)) else f"{float(r):.9f}"
         for r in data.indicial_roots
@@ -173,26 +173,11 @@ def _cmd_asymptotics(args) -> int:
         print(f"constant estimate: {fit.estimate:.9f}")
         for n, u in fit.ladder:
             print(f"  u({n}) = {u:.9f}")
-    if args.emit_plot:
-        _emit_plot(args, data)
+        if not fit.converged:
+            prev, last = fit.extrapolants[-2:]
+            print(f"warning: constant fit for k={data.k} {data.family} not converged: "
+                  f"last extrapolants {prev:.6g}, {last:.6g}", file=sys.stderr)
     return 0
-
-
-def _emit_plot(args, data) -> None:
-    from mpmath import mp
-
-    rows = []
-    with mp.workprec(asympt.WORK_PREC):
-        for n, count in dfinite.iter_sequence(args.k, args.family):
-            if n >= 1:
-                u = mp.exp(asympt.scaled_ratio_log(count, n, data.growth, data.exponent))
-                rows.append((n, float(u)))
-            if n >= args.upto:
-                break
-    with open(args.emit_plot, "w", encoding="utf-8") as fh:
-        fh.write("n,u\n")
-        for n, u in rows:
-            fh.write(f"{n},{u!r}\n")
 
 
 def _cmd_table1(args) -> int:

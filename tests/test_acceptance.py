@@ -158,7 +158,7 @@ def test_criterion_07_delta1_cross_checks():
 
 
 def test_criterion_08_known_constant():
-    fit = fit_constant(1, "compacted", 5000)
+    fit = fit_constant(singularity_data(1, "compacted"), 5000)
     target = 2 * math.exp(0.25) / math.gamma(0.25)
     assert abs(fit.estimate - target) / target < 0.01
     report(8, f"fitted constant {fit.estimate:.6f} within 1% of {target:.5f}")

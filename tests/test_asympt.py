@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -8,9 +9,11 @@ from compacta import asympt
 from compacta.asympt import (
     FitResult,
     TABLE1_REFERENCE,
+    _count_mpf,
     _richardson,
     dominant_root,
     fit_constant,
+    scaled_ratios,
     singularity_data,
     table1,
 )
@@ -148,21 +151,21 @@ def test_richardson_on_synthetic_sequence():
 
 
 def test_fit_constant_exact_family():
-    fit = fit_constant(0, "relaxed", 200)
+    fit = fit_constant(singularity_data(0, "relaxed"), 200)
     assert isinstance(fit, FitResult)
     assert all(u == 1.0 for _, u in fit.ladder)
     assert fit.estimate == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fit_constant_known_compacted():
-    fit = fit_constant(1, "compacted", 3000)
+    fit = fit_constant(singularity_data(1, "compacted"), 3000)
     target = 2 * math.exp(0.25) / math.gamma(0.25)
     assert abs(fit.estimate - target) / target < 0.01
 
 
 def test_fit_constant_relaxed_one_reciprocal_root_pi():
     # (2n-1)!! = 2^n Gamma(n + 1/2)/sqrt(pi), so the constant is 1/sqrt(pi)
-    fit = fit_constant(1, "relaxed", 2000)
+    fit = fit_constant(singularity_data(1, "relaxed"), 2000)
     assert abs(fit.estimate - 1 / math.sqrt(math.pi)) < 0.01
 
 
@@ -174,9 +177,42 @@ def test_exponent_regression_recovers_slope(k, family):
     assert abs(slope - expected) < 0.05
 
 
-def test_fit_warns_when_not_converged():
-    with pytest.warns(UserWarning, match="not converged"):
-        fit_constant(4, "compacted", 48)
+def test_fit_reports_convergence():
+    assert fit_constant(singularity_data(4, "compacted"), 48).converged is False
+    assert fit_constant(singularity_data(1, "compacted"), 3000).converged is True
+
+
+@pytest.mark.parametrize("k, family", [(1, "compacted"), (2, "relaxed")])
+def test_fit_uses_the_data_it_is_given(k, family):
+    data = singularity_data(k, family)
+    fit = fit_constant(data, 400)
+    shifted = fit_constant(replace(data, exponent=data.exponent + 1), 400)
+    assert [n for n, _ in shifted.ladder] == [n for n, _ in fit.ladder]
+    for (n, u), (_, v) in zip(fit.ladder, shifted.ladder):
+        assert v == pytest.approx(u / n, rel=1e-12)
+
+
+def test_scaled_ratios_one_pass_in_stream_order():
+    data = singularity_data(0, "relaxed")  # n! left combs: u_n = 1
+    assert [n for n, _ in scaled_ratios(data, {9, 3, 5})] == [3, 5, 9]
+    assert all(abs(u - 1) < mpf("1e-30") for _, u in scaled_ratios(data, range(1, 30)))
+
+
+def _count_mpf_cases():
+    """n!-multiples with many trailing zero bits, round-half patterns at the
+    working precision's cut, and counts shorter than that precision."""
+    yield from (math.factorial(n) * m for n in (30, 200, 1000) for m in (1, 3, 7 ** 40))
+    for top in ((1 << 119) | 0b1010, (1 << 119) | 0b1011):  # even and odd
+        for shift in (1, 2, 3, 60):
+            half = ((top << 1) | 1) << (shift - 1)  # top and exactly one half
+            yield from (half, half + 1, half - 1, half << 40, (half << 40) | 1)
+    yield from (1, 2, 3, 12345, (1 << 119) - 1, (1 << 120) + 1, (1 << 123) - 1)
+
+
+def test_count_mpf_is_bit_identical_to_mpf():
+    with mp.workprec(asympt.WORK_PREC):
+        for count in _count_mpf_cases():
+            assert _count_mpf(count) == mpf(count), count
 
 
 def test_reference_table_is_three_decimal():

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from compacta import dfinite, operators
+from compacta import asympt, cli, dfinite, operators
 from compacta.cli import run
 from compacta.poly import IntPoly
 from compacta.recurrences import build_table
@@ -259,6 +259,65 @@ def test_asymptotics_fit_and_plot(tmp_path, capsys):
     assert "constant estimate: 1.000000000" in capsys.readouterr().out
     lines = plot.read_text().splitlines()
     assert lines[0] == "n,u" and len(lines) == 65
+
+
+def test_bad_plot_path_prints_nothing(tmp_path, capsys):
+    argv = ["asymptotics", "--k", "1", "--family", "relaxed", "--upto", "10",
+            "--emit-plot", str(tmp_path / "missing" / "u.csv")]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line[:7] for line in captured.err.splitlines()] == ["error: "]
+
+
+def test_unconverged_fit_prints_one_warning_line(capsys):
+    argv = ["asymptotics", "--family", "compacted", "--k", "4", "--fit", "--upto", "48"]
+    assert run(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ("warning: constant fit for k=4 compacted not converged: "
+                            "last extrapolants 0.842793, 0.860781\n")
+    assert "constant estimate: 0.860780910" in captured.out
+
+
+def test_converged_fit_prints_no_warning(capsys):
+    argv = ["asymptotics", "--family", "compacted", "--k", "1", "--fit", "--upto", "2000"]
+    assert run(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_asymptotics_certifies_and_builds_once_per_use(monkeypatch, capsys):
+    calls = {"singularity_data": 0, "build_operator": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(asympt, "singularity_data",
+                        counted("singularity_data", asympt.singularity_data))
+    build = counted("build_operator", operators.build_operator)
+    for module in (asympt, cli, dfinite):
+        monkeypatch.setattr(module, "build_operator", build)
+    argv = ["asymptotics", "--family", "compacted", "--k", "3", "--fit", "--upto", "100"]
+    assert run(argv) == 0
+    # one build certifies, the other is the stream's own
+    assert calls == {"singularity_data": 1, "build_operator": 2}
+
+
+@pytest.mark.parametrize("argv", [
+    ["operator", "--family", "M", "--k"],
+    ["operator", "--family", "relaxed", "--latex", "--k"],
+    ["sequence", "--family", "compacted", "--upto", "5", "--csv", "--k"],
+    ["asymptotics", "--family", "relaxed", "--fit", "--k"],
+    ["asymptotics", "--family", "compacted", "--k"],
+])
+def test_k_past_the_limit_is_a_domain_error(argv, capsys):
+    too_big = operators.MAX_K + 1
+    assert run(argv + [str(too_big)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: k must be <= {operators.MAX_K}, got {too_big}\n"
 
 
 @pytest.mark.parametrize("upto", ["-3", "0"])
