@@ -42,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--emit", metavar="FILE", default=None)
     p.add_argument("--budget", type=int, default=None,
-                   help="object budget (default 10^8 or COMPACTA_BUDGET)")
+                   help="object budget (default 10^8)")
 
     p = sub.add_parser("count", help="counts from the exact tables")
     p.add_argument("--kind", choices=("relaxed", "compacted"), required=True)
@@ -122,9 +122,9 @@ def _cmd_count(args) -> int:
 def _cmd_sequence(args) -> int:
     """Print each count as the stream computes it, in exact Decimal.
 
-    Only the recurrence window is held, not the whole sequence.  Bad flags
-    fail before the first line; a term that fails the integrality check
-    ends the command with exit 1 after the lines before it are printed.
+    Only the recurrence window is held, not the whole sequence.  Every
+    check runs when the stream is built, before the first line, so a
+    command either prints every term or exits 1 with empty stdout.
     """
     values = dfinite.sequence_values(args.k, args.family, args.upto, num=Decimal)
     if args.csv:

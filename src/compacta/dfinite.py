@@ -15,18 +15,20 @@ power series", Eur. J. Combin. 1, 1980) written on counts.  Within one j
 the terms have distinct i, so their falling factorials have distinct
 degrees and cannot cancel: q_0 and q_s, read off the extreme terms, are
 nonzero.  q_0 vanishes exactly at the indices where the forward recurrence
-cannot determine a count; seeding past its last nonnegative integer root
-makes the stream unique.
+cannot determine a count.
 
-In both operator families q_0 = +-n^falling(d), and it divides every q_j as
-a polynomial at each k tried (0-40, 60, 100), so `count_form` divides it out
-once with `IntPoly.divexact`, and each step is c_n = -sum_j r_j(n) c_{n-j}:
-a few multiplies by small integers and no division.  That exact division
-proves, for every n at once, that integer seeds stream integers.  A
-recurrence it fails on (so far only a hand-built or corrupted one) streams
-with one exact division per term instead, whose remainder is checked.
-Neither can tell a wrong integer seed from a right one, so `seed` compares
-the seeds and the first 2*span + 10 steps with the bounded word counts, an
+In both operator families the top coefficient p_d of an order-d operator
+is 1 at z = 0, so j_min = -d and q_0 = n^falling(d), whose integer roots
+are exactly 0..d-1.  Every other term carries n^falling(e+d) =
+n^falling(d) (n-d)^falling(e), so q_0 divides every q_j in Z[n]: the count
+form is monic for every k.  `count_form` proves both facts once, exactly,
+and refuses any recurrence that fails them (so far only a hand-built or
+corrupted one); there is no division fallback.  Each step is then
+c_n = -sum_j r_j(n) c_{n-j}, a few multiplies by small integers, and
+`SeededSequence` is the one place a stream can fail: once its int seeds
+reach past the roots 0..d-1, every count it streams is an integer.  That
+cannot tell a wrong integer seed from a right one, so `seed` compares the
+seeds and the first 2*span + 10 steps with the bounded word counts, an
 independent model of the same trees.
 
 One loop (iter_counts) serves two number types: Python `int` (seeds, fits,
@@ -41,13 +43,12 @@ the seeds when called, then return a lazy iterator, so a caller can print
 each count as it comes and still see a bad argument before anything is
 printed.
 
-Seeds n <= k+1 come from the exact count table: a tree of size at most k+1
-cannot exceed right height k, so there the bounded and unbounded counts
-coincide, and every default seed index lies in that range.  Seeds past it,
-which only an explicit larger n0 asks for, come from the bounded word
-counts.  Right height 0 allows only left combs, n! of them in both
-families, so B_0 = (1-z)D - 1 annihilates the relaxed k = 0 series too;
-A_0 = 1-z is only the base of the relaxed recursion.
+The seeds are the counts n < d from the exact count table.  The order d
+is at most k+1, and a tree of size at most k+1 cannot exceed right height
+k, so there the bounded and unbounded counts coincide.  Right height 0
+allows only left combs, n! of them in both families, so B_0 = (1-z)D - 1
+annihilates the relaxed k = 0 series too; A_0 = 1-z is only the base of
+the relaxed recursion.
 """
 
 from __future__ import annotations
@@ -68,10 +69,9 @@ from .recurrences import build_table, word_counts
 
 
 class IntegralityError(ArithmeticError):
-    """A count is not an integer (a seed passed as a non-integral Fraction,
-    or a step whose division leaves a remainder), or a count in the prefix
-    `seed` checks disagrees with the word counts.  Past that prefix a wrong
-    recurrence can stream integers."""
+    """A seed is not an `int`, or a count in the prefix `seed` checks
+    disagrees with the word counts.  Past that prefix a wrong recurrence
+    can stream integers."""
 
 
 # Decimal arithmetic that never rounds: any result that would need rounding
@@ -98,24 +98,23 @@ class CoeffRecurrence:
     def span(self) -> int:
         return len(self.coeffs) - 1
 
-    def leading_integer_roots(self) -> list[int]:
-        """Nonnegative integer roots of q_0 up to a scan bound."""
-        q0 = self.coeffs[0]
-        scan_limit = self.valid_from + self.span + max(q0.degree, 1) + 16
-        return [n for n in range(scan_limit + 1) if q0(n) == 0]
-
     @cached_property
-    def count_form(self) -> tuple[IntPoly, tuple[IntPoly, ...], bool]:
-        """(q_0, (-r_1, ..., -r_s), monic): c_n = -sum_j r_j(n) c_{n-j}.
+    def count_form(self) -> tuple[IntPoly, ...]:
+        """(-r_1, ..., -r_s) with r_j = q_j / q_0 in Z[n]: c_n = -sum_j r_j(n) c_{n-j}.
 
-        monic means q_0 divided every q_j exactly, so r_j is that quotient;
-        otherwise r_j is q_j itself and a step divides by q_0(n).
+        Raises ValueError unless q_0 = +-n^falling(deg q_0), whose integer
+        roots are exactly 0..deg q_0 - 1, and q_0 divides every q_j.
         """
         q0, *rest = self.coeffs
+        falling = IntPoly(1)
+        for m in range(q0.degree):
+            falling *= IntPoly(-m, 1)
+        if q0 not in (falling, -falling):
+            raise ValueError(f"q_0 is not +-n^falling({q0.degree}): {q0.coeffs}")
         try:
-            return q0, tuple(-p.divexact(q0) for p in rest), True
+            return tuple(-p.divexact(q0) for p in rest)
         except ValueError:
-            return q0, tuple(-p for p in rest), False
+            raise ValueError("q_0 does not divide every q_j") from None
 
 
 def ode_to_recurrence(op: DiffOperator) -> CoeffRecurrence:
@@ -139,72 +138,53 @@ def ode_to_recurrence(op: DiffOperator) -> CoeffRecurrence:
 class SeededSequence:
     """A recurrence plus enough exact leading counts to run it.
 
-    seeds[n] is the count c_n for n < N0 = len(seeds), an int; the stream
-    yields each seed as it is and runs the recurrence past them.
+    seeds[n] is the count c_n for n < len(seeds).  Construction is the one
+    check of a stream: the seeds are ints, they cover n < valid_from and the
+    roots 0..deg q_0 - 1 of q_0, and the count form builds.  A stream that
+    was built yields an integer at every n and cannot fail partway.
     """
 
     rec: CoeffRecurrence
     seeds: tuple[int, ...]
 
     def __post_init__(self):
-        n0 = len(self.seeds)
-        if n0 < 1:
-            raise ValueError("need at least one seed")
-        if n0 < self.rec.valid_from:
-            raise ValueError(
-                f"seeds cover n < {n0} but the recurrence only holds from "
-                f"n = {self.rec.valid_from}"
-            )
-        roots = self.rec.leading_integer_roots()
-        if roots and roots[-1] >= n0:
-            raise ValueError(
-                f"leading coefficient vanishes at n = {roots[-1]}, "
-                f"seed at least {roots[-1] + 1} values"
-            )
+        for n, c in enumerate(self.seeds):
+            if not isinstance(c, int):
+                raise IntegralityError(f"seed c_{n} = {c} is not an integer")
+        need = max(self.rec.valid_from, self.rec.coeffs[0].degree, 1)
+        if len(self.seeds) < need:
+            raise ValueError(f"need at least {need} seeds, got {len(self.seeds)}")
+        self.rec.count_form  # raises unless the recurrence is monic
 
 
-def _step(form, window, n: int, zero):
+def _step(steps, window, n: int, zero):
     # count n from the last counts in window (newest last), in zero's type
-    q0, steps, monic = form
-    den = q0(n)
-    if den == 0:
-        raise IntegralityError(
-            f"leading coefficient vanishes at n = {n}; seeds must extend past it"
-        )
     acc = zero
     for p, c in zip(steps, reversed(window)):
         acc += p(n) * c
-    if monic:
-        return acc
-    c, rem = divmod(acc, den)
-    if rem:
-        raise IntegralityError(f"non-integral value at n = {n}")
-    return c
+    return acc
 
 
 def iter_counts(seq: SeededSequence, num: type = int):
     """Yield (n, c_n) forever, exactly, in the number type num.
 
-    num is `int` or `decimal.Decimal`.  A Decimal step runs in EXACT, so a
-    non-integral or unrepresentable value raises instead of rounding; the
-    caller's decimal context is left alone between and after the steps.
+    num is `int` or `decimal.Decimal`.  A Decimal step runs in EXACT, so it
+    never rounds; the caller's decimal context is left alone between and
+    after the steps.
     """
     if num is not int and num is not Decimal:
         raise TypeError(f"num must be int or Decimal, got {num!r}")
     window = deque(maxlen=seq.rec.span)  # the last counts, newest last
     zero = num(0)
-    form = seq.rec.count_form
+    steps = seq.rec.count_form
     for n in count():
         if n < len(seq.seeds):
-            c = seq.seeds[n]
-            if c.denominator != 1:
-                raise IntegralityError(f"seed c_{n} = {c} is not an integer")
-            c = num(int(c))
+            c = num(seq.seeds[n])
         elif num is Decimal:
             with localcontext(EXACT):
-                c = _step(form, window, n, zero)
+                c = _step(steps, window, n, zero)
         else:
-            c = _step(form, window, n, zero)
+            c = _step(steps, window, n, zero)
         yield n, c
         window.append(c)
 
@@ -220,44 +200,35 @@ def stream(seq: SeededSequence, upto: int, num: type = int):
     return map(itemgetter(1), islice(iter_counts(seq, num), upto + 1))
 
 
-def seed(k: int, family: str, n0: int | None = None) -> SeededSequence:
+def seed(k: int, family: str) -> SeededSequence:
     """Seeded sequence for the counts of trees of right height <= k.
 
-    Default n0 is the smallest sound choice (just past the integer roots of
-    the leading recurrence coefficient).  The seeds are integer counts,
-    passed to the stream unchanged: those n <= k+1, where bounded and
-    unbounded counts coincide, come from the count table, and any past that
-    from the bounded word counts.  The seeds and the first 2*span + 10 steps
-    must equal those word counts, or IntegralityError names the first n
-    that differs.  At k = 0 both families count the n! left combs, so both
-    run on B_0.
+    The seeds are the integer counts n < d, d the operator order (at most
+    k+1, where bounded and unbounded counts coincide), from the count
+    table.  The seeds and the first 2*span + 10 steps must equal the
+    bounded word counts, or IntegralityError names the first n that
+    differs.  At k = 0 both families count the n! left combs, so both run
+    on B_0.
     """
     if family not in ("relaxed", "compacted"):
         raise ValueError(f"family must be 'relaxed' or 'compacted', got {family!r}")
     if k < 0:
         raise ValueError("k must be >= 0")
     rec = ode_to_recurrence(build_operator("compacted" if k == 0 else family, k))
-    roots = rec.leading_integer_roots()
-    minimal = max(rec.valid_from, rec.span, (roots[-1] + 1) if roots else 0, 1)
-    if n0 is None:
-        n0 = minimal
-    elif n0 < minimal:
-        raise ValueError(f"n0 = {n0} too small, need at least {minimal}")
+    n0 = max(rec.valid_from, rec.span, 1)
     words = word_counts(family, n0 + 2 * rec.span + 10, k)
-    counts = build_table(family, min(n0 - 1, k + 1)).counts() + words[k + 2:n0]
-    seq = SeededSequence(rec, tuple(counts))
+    seq = SeededSequence(rec, tuple(build_table(family, n0 - 1).counts()))
     # each step runs on the word counts before it, so the first n that
     # differs is the first streamed count that differs
     for n, want in enumerate(words):
         window = words[max(n - rec.span, 0):n]
-        got = counts[n] if n < n0 else _step(rec.count_form, window, n, 0)
+        got = seq.seeds[n] if n < n0 else _step(rec.count_form, window, n, 0)
         if got != want:
             raise IntegralityError(f"stream disagrees with the word counts at n = {n}")
     return seq
 
 
-def sequence_values(k: int, family: str, upto: int,
-                    n0: int | None = None, num: type = int):
+def sequence_values(k: int, family: str, upto: int, num: type = int):
     """Counts of {family} trees of right height <= k for n = 0..upto.
 
     The arguments are checked and the seeds built when called, so a bad
@@ -266,7 +237,7 @@ def sequence_values(k: int, family: str, upto: int,
     """
     if upto < 0:
         raise ValueError("upto must be >= 0")
-    return stream(seed(k, family, n0), upto, num)
+    return stream(seed(k, family), upto, num)
 
 
 def iter_sequence(k: int, family: str):

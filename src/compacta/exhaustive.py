@@ -16,12 +16,12 @@ first, assignments in mixed-radix order with the last slot fastest.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator
 
 from .compaction import is_compacted
+from .recurrences import word_counts
 from .trees import RelaxedDag, SpineTree, slot_sequence
 
 DEFAULT_BUDGET = 10**8
@@ -53,15 +53,6 @@ class GenFilter:
             raise ValueError("right-height bound must be >= 0")
         if self.kind not in ("relaxed", "compacted"):
             raise ValueError(f"kind must be 'relaxed' or 'compacted', got {self.kind!r}")
-
-
-def current_budget(budget: int | None = None) -> int:
-    if budget is not None:
-        return budget
-    env = os.environ.get("COMPACTA_BUDGET")
-    if env:
-        return int(env)
-    return DEFAULT_BUDGET
 
 
 def gen_spines(n: int, max_right_height: int | None = None) -> Iterator[SpineTree | None]:
@@ -140,9 +131,13 @@ def spine_assignments(spine: SpineTree | None) -> Iterator[RelaxedDag]:
 
 
 def gen_relaxed(f: GenFilter, budget: int | None = None) -> Iterator[RelaxedDag]:
-    """Every relaxed DAG matching the filter, exactly once."""
-    estimate = count_relaxed_spine_product(f.n, f.max_right_height)
-    limit = current_budget(budget)
+    """Every relaxed DAG matching the filter, exactly once.
+
+    The budget check counts them first with the O(n^2) word DP, not the
+    spine product, which walks every spine.
+    """
+    estimate = word_counts("relaxed", f.n, f.max_right_height)[f.n]
+    limit = DEFAULT_BUDGET if budget is None else budget
     if estimate > limit:
         raise BudgetExceededError(estimate, limit)
     for spine in gen_spines(f.n, f.max_right_height):

@@ -106,30 +106,36 @@ def test_sequence_leaves_the_decimal_context_alone(capsys):
     assert decimal.getcontext() is ctx and repr(ctx) == before
 
 
-def _bad_seed(sq):
+def _doubled_leading(real):
+    # q_0 doubled: no longer +-n^falling(d)
+    def corrupted(op):
+        rec = real(op)
+        q0, *rest = rec.coeffs
+        return dfinite.CoeffRecurrence((q0 * 2, *rest), rec.valid_from)
+    return corrupted
+
+
+def _half_seed(real):
     # the last seed count off by one half
-    m = len(sq.seeds) - 1
-    return dfinite.SeededSequence(sq.rec, sq.seeds[:m] + (sq.seeds[m] + Fraction(1, 2),))
+    def corrupted(kind, nmax):
+        counts = real(kind, nmax).counts()
+        counts[-1] += Fraction(1, 2)
+        return SimpleNamespace(counts=lambda: counts)
+    return corrupted
 
 
-def _bad_division(sq):
-    # a doubled leading coefficient: relaxed k = 3 fails at n = 4
-    q0, *rest = sq.rec.coeffs
-    return dfinite.SeededSequence(
-        dfinite.CoeffRecurrence((q0 * 2, *rest), sq.rec.valid_from), sq.seeds)
-
-
-@pytest.mark.parametrize("corrupt, out, err", [
-    (_bad_seed, " 0 1\n 1 1\n", "error: seed c_2 = 7/2 is not an integer\n"),
-    (_bad_division, " 0 1\n 1 1\n 2 3\n 3 8\n", "error: non-integral value at n = 4\n"),
-])
-def test_sequence_stops_at_a_bad_term(corrupt, out, err, monkeypatch, capsys):
-    # the counts before the bad term are already printed when it fails
-    bad = corrupt(dfinite.seed(3, "relaxed"))
-    monkeypatch.setattr(dfinite, "seed", lambda *args, **kwargs: bad)
+@pytest.mark.parametrize("name, corrupt, err", [
+    ("ode_to_recurrence", _doubled_leading,
+     "error: q_0 is not +-n^falling(3): (0, 4, -6, 2)\n"),
+    ("build_table", _half_seed, "error: seed c_2 = 7/2 is not an integer\n"),
+], ids=["doubled_q0", "half_seed"])
+def test_sequence_with_a_corrupt_recurrence_prints_nothing(name, corrupt, err,
+                                                           monkeypatch, capsys):
+    # every check runs when the stream is built, before the first line
+    monkeypatch.setattr(dfinite, name, corrupt(getattr(dfinite, name)))
     assert run(["sequence", "--family", "relaxed", "--k", "3", "--upto", "10"]) == 1
     captured = capsys.readouterr()
-    assert (captured.out, captured.err) == (out, err)
+    assert (captured.out, captured.err) == ("", err)
 
 
 def test_sequence_rejects_an_operator_step_corrupted_past_selftest(monkeypatch, capsys):
@@ -207,6 +213,15 @@ def test_enumerate_emit(tmp_path, capsys):
 def test_enumerate_budget_domain_error(capsys):
     assert run(["enumerate", "--n", "9", "--budget", "1000"]) == 1
     assert "budget" in capsys.readouterr().err
+
+
+def test_enumerate_far_over_the_budget_fails_at_once(capsys):
+    # the spine product would walk Catalan(40) spines before it could fail
+    assert run(["enumerate", "--n", "40", "--budget", "1000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: enumeration would produce ")
+    assert captured.err.endswith(" objects, budget is 1000\n")
 
 
 def test_compact_command(tmp_path, capsys):

@@ -80,10 +80,13 @@ def test_count_recurrence_is_the_ordinary_one_times_n_factorial(k, family):
 
 
 def test_leading_integer_roots():
-    rec = ode_to_recurrence(relaxed_operator(3))
-    assert rec.leading_integer_roots() == [0, 1, 2]
-    rec = ode_to_recurrence(compacted_operator(2))
-    assert rec.leading_integer_roots() == [0, 1, 2]
+    # q_0 = +-n^falling(order): its integer roots are exactly 0..order-1
+    for family in ("relaxed", "compacted"):
+        for k in range(41):
+            op = build_operator("compacted" if k == 0 else family, k)
+            q0 = ode_to_recurrence(op).coeffs[0]
+            assert q0 in (falling_factorial_poly(op.order),
+                          -falling_factorial_poly(op.order)), (family, k)
 
 
 def test_seeded_sequence_rejects_short_seeds():
@@ -105,28 +108,37 @@ def test_default_seeds_come_from_tables():
 
 
 def test_explicit_seed_count():
-    sq = seed(2, "relaxed", n0=4)
-    assert sq.seeds == (1, 1, 3, 16)
+    # relaxed k = 2 has an operator of order 2, so two seeds
+    sq = seed(2, "relaxed")
+    assert sq.seeds == (1, 1)
 
 
 def test_seed_beyond_tables_uses_word_counts():
-    sq = seed(2, "relaxed", n0=5)
-    assert sq.seeds[4] == 126  # height-filtered count at n = 4
+    # n = 4 lies past the seeds: the stream gives the height-filtered count
+    assert list(sequence_values(2, "relaxed", 4)) == [1, 1, 3, 16, 126]
+    assert word_counts("relaxed", 4, 2)[4] == 126
 
 
 @pytest.mark.parametrize("family", ["relaxed", "compacted"])
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_seeds_far_past_the_tables(k, family):
     # brute force at n = 13 would be far over the enumeration budget
-    sq = seed(k, family, n0=14)
-    assert sq.seeds == tuple(word_counts(family, 13, k))
-    assert list(sequence_values(k, family, 40, n0=14)) == list(
-        sequence_values(k, family, 40))
+    assert list(sequence_values(k, family, 40)) == list(word_counts(family, 40, k))
 
 
 def test_compacted_seed_small():
-    sq = seed(1, "compacted", n0=3)
-    assert sq.seeds == (1, 1, 3)
+    sq = seed(1, "compacted")
+    assert sq.seeds == (1, 1)
+
+
+@pytest.mark.parametrize("family", ["relaxed", "compacted"])
+def test_one_seed_per_unit_of_operator_order(family):
+    # the seeds cover exactly the roots 0..order-1 of q_0
+    for k in range(13):
+        order = build_operator("compacted" if k == 0 else family, k).order
+        sq = seed(k, family)
+        assert len(sq.seeds) == order, k
+        assert sq.seeds == tuple(word_counts(family, order - 1, k)), k
 
 
 def test_relaxed_zero_has_no_operator():
@@ -201,17 +213,20 @@ def test_stream_monotone_in_k():
 
 def test_non_integral_seed_raises():
     rec = ode_to_recurrence(compacted_operator(1))
-    wrong = SeededSequence(rec, (1, Fraction(1, 3)))
-    with pytest.raises(IntegralityError):
-        list(stream(wrong, 30))
+    with pytest.raises(IntegralityError, match=r"^seed c_1 = 1/3 is not an integer$"):
+        SeededSequence(rec, (1, Fraction(1, 3)))
 
 
 def test_inexact_division_raises():
-    # 2 c_n + n c_{n-1} = 0 forces a half-integer at the first step
+    # 2 c_n + n c_{n-1} = 0 forces a half-integer at the first step; the
+    # recurrence is refused when the sequence is built, before any count
     rec = CoeffRecurrence((IntPoly(2), IntPoly(0, 1)), valid_from=0)
-    odd = SeededSequence(rec, (1,))
-    with pytest.raises(IntegralityError):
-        list(stream(odd, 5))
+    with pytest.raises(ValueError, match=r"^q_0 is not \+-n\^falling\(0\): \(2,\)$"):
+        SeededSequence(rec, (1,))
+    # n c_n + c_{n-1} = 0: q_0 = n has the right roots but divides no 1
+    rec = CoeffRecurrence((IntPoly(0, 1), IntPoly(1)), valid_from=1)
+    with pytest.raises(ValueError, match=r"^q_0 does not divide every q_j$"):
+        SeededSequence(rec, (1,))
 
 
 def test_relaxed_zero_streams_factorials():
@@ -229,16 +244,17 @@ def half_count_seed(sq):
 
 
 def doubled_leading(sq):
-    # 2 q_0: the division fails at the first odd count past the seeds
+    # 2 q_0: no longer +-n^falling(d), so it could divide no count exactly
     q0, *rest = sq.rec.coeffs
     return SeededSequence(CoeffRecurrence((q0 * 2, *rest), sq.rec.valid_from), sq.seeds)
 
 
-def stream_error(seq, num):
+def division_error(rec, seeds, num):
+    # the per-step division reference, run to its first error
     got = []
     with pytest.raises(IntegralityError) as exc:
-        for v in stream(seq, 50, num):
-            got.append(v)
+        for _, c in islice(division_counts(SimpleNamespace(rec=rec, seeds=seeds), num), 51):
+            got.append(c)
     return str(exc.value), got
 
 
@@ -270,17 +286,25 @@ def test_decimal_stream_leaves_the_context_alone():
 
 @pytest.mark.parametrize("family", ["relaxed", "compacted"])
 @pytest.mark.parametrize("k", [1, 3])
-@pytest.mark.parametrize("corrupt", [half_count_seed, doubled_leading])
-def test_decimal_stream_raises_where_the_int_stream_does(corrupt, k, family):
-    bad = corrupt(seed(k, family))
-    msg, got = stream_error(bad, Decimal)
-    assert (msg, got) == stream_error(bad, int)
-    assert all(type(v) is Decimal for v in got)
+@pytest.mark.parametrize("corrupt, error, message", [
+    (half_count_seed, IntegralityError, r"^seed c_\d+ = \d+/2 is not an integer$"),
+    (doubled_leading, ValueError, r"^q_0 is not \+-n\^falling\(\d+\): "),
+], ids=["half_count_seed", "doubled_leading"])
+def test_decimal_stream_raises_where_the_int_stream_does(corrupt, error, message, k, family):
+    # the sequence is refused when built, so nothing can fail mid-stream,
+    # in either number type
+    for num in (int, Decimal):
+        with pytest.raises(error, match=message):
+            list(stream(corrupt(seed(k, family)), 50, num))
 
 
 def test_decimal_stream_rejects_an_inexact_division():
-    odd = SeededSequence(CoeffRecurrence((IntPoly(2), IntPoly(0, 1)), valid_from=0), (1,))
-    assert stream_error(odd, Decimal) == ("non-integral value at n = 1", [1])
+    # 2 c_n + n c_{n-1} = 0: refused when built; only a per-step division
+    # would have reached n = 1
+    rec = CoeffRecurrence((IntPoly(2), IntPoly(0, 1)), valid_from=0)
+    with pytest.raises(ValueError, match=r"^q_0 is not \+-n\^falling\(0\): \(2,\)$"):
+        list(stream(SeededSequence(rec, (1,)), 5, Decimal))
+    assert division_error(rec, (1,), Decimal) == ("non-integral value at n = 1", [1])
 
 
 def test_stream_takes_int_or_decimal():
@@ -307,19 +331,20 @@ def test_count_form_is_certified_monic(family):
     # q_0 divides every n!-scaled term exactly, so no step divides
     for k in range(41):
         rec = ode_to_recurrence(build_operator("compacted" if k == 0 else family, k))
-        assert rec.count_form[2], k
+        q0, *rest = rec.coeffs
+        assert [-r * q0 for r in rec.count_form] == rest, k
 
 
 @pytest.mark.parametrize("num", [int, Decimal])
 def test_a_form_that_is_not_monic_divides_each_step(num):
-    # 2 c_n = n(n-1) c_{n-1}: n(n-1) is not a multiple of 2 in Z[n], but
-    # n(n-1)/2 is an integer at every n
+    # 2 c_n = n(n-1) c_{n-1}: n(n-1) is not a multiple of 2 in Z[n], even
+    # though n(n-1)/2 is an integer at every n.  Only a per-step division
+    # could run it, so the stream refuses it when built
     rec = CoeffRecurrence((IntPoly(2), IntPoly(0, 1, -1)), valid_from=0)
-    seq = SeededSequence(rec, (1, 1))
-    assert not rec.count_form[2]
-    got = list(stream(seq, 8, num))
+    with pytest.raises(ValueError, match=r"^q_0 is not \+-n\^falling\(0\): \(2,\)$"):
+        list(stream(SeededSequence(rec, (1, 1)), 8, num))
+    got = [c for _, c in islice(division_counts(SimpleNamespace(rec=rec, seeds=(1, 1)), num), 9)]
     assert got == [1, 1, 1, 3, 18, 180, 2700, 56700, 1587600]
-    assert got == [c for _, c in islice(division_counts(seq, num), 9)]
 
 
 @pytest.mark.parametrize("num", [int, Decimal])
@@ -328,11 +353,14 @@ def test_a_form_that_is_not_monic_divides_each_step(num):
     (IntPoly(0, 30, 29, -1), False),  # c_n = n(n+1)/2 c_{n-1}, divided
 ])
 def test_stream_stops_where_the_leading_coefficient_vanishes(q1, monic, num):
-    # the root n = 30 lies past the scan of SeededSequence, so only the
-    # step's own check stops the stream there
-    rec = CoeffRecurrence((IntPoly(-30, 1) * (1 if monic else 2), q1), valid_from=0)
-    assert rec.count_form[2] == monic
-    msg, got = stream_error(SeededSequence(rec, (1,)), num)
+    # q_0 vanishes at n = 30, which no seed reaches: the sequence is refused
+    # when built, where a per-step check would only stop at n = 30
+    q0 = IntPoly(-30, 1) * (1 if monic else 2)
+    rec = CoeffRecurrence((q0, q1), valid_from=0)
+    with pytest.raises(ValueError) as exc:
+        list(stream(SeededSequence(rec, (1,)), 50, num))
+    assert str(exc.value) == f"q_0 is not +-n^falling(1): {q0.coeffs}"
+    msg, got = division_error(rec, (1,), num)
     assert msg == "leading coefficient vanishes at n = 30; seeds must extend past it"
     assert len(got) == 30
 

@@ -126,14 +126,6 @@ def test_budget_guard():
     assert err.value.estimate == 6173791
 
 
-def test_budget_env_override(monkeypatch):
-    monkeypatch.setenv("COMPACTA_BUDGET", "5")
-    with pytest.raises(BudgetExceededError):
-        list(gen_relaxed(GenFilter(3)))
-    monkeypatch.setenv("COMPACTA_BUDGET", "100")
-    assert sum(1 for _ in gen_relaxed(GenFilter(3))) == 16
-
-
 def test_brute_count_kinds():
     assert brute_count(4, "relaxed") == 127
     assert brute_count(4, "compacted") == 111
