@@ -25,7 +25,7 @@ from .compaction import (
     unfold,
 )
 from .dfinite import (
-    CoeffRecurrence,
+    CountRecurrence,
     IntegralityError,
     SeededSequence,
     closed_form_oracle,

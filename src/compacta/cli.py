@@ -88,7 +88,8 @@ def _cmd_enumerate(args) -> int:
     f = GenFilter(args.n, args.max_right_height, args.kind)
     if args.count_only and args.kind == "relaxed":
         # product shortcut; no object is materialized
-        print(exhaustive.count_relaxed_spine_product(args.n, args.max_right_height))
+        print(exhaustive.count_relaxed_spine_product(args.n, args.max_right_height,
+                                                     args.budget))
         return 0
     if args.count_only:
         print(exhaustive.brute_count(args.n, args.kind, args.max_right_height, args.budget))

@@ -1,35 +1,29 @@
 """From annihilating operators to recurrences on counts, and exact streams.
 
 Everything here runs on the counts c_n = n! a_n, where sum a_n z^n is the
-exponential generating function.  The term p_{i,e} z^e D^i of an operator
-sum_i p_i(z) D^i sends a_m z^m to m^falling(i) a_m z^(m-i+e).  Let j_min be
-the least e - i of a nonzero term.  The coefficient of z^(n+j_min) of the
-image, times n!, is the normal form
+exponential generating function.  Let d be the order of an operator
+sum_i p_i(z) D^i.  Its term p_{i,e} z^e D^i sends a_m z^m to
+m^falling(i) a_m z^(m-i+e), so with j = e - i + d its coefficient of
+z^(n-d), times n!, is p_{i,e} n^falling(e+d) c_{n-j}.  Summed over the
+terms this vanishes for every n >= d, with c_m = 0 for m < 0: the D-finite
+to P-recursive correspondence (Stanley, "Differentiably finite power
+series", Eur. J. Combin. 1, 1980) written on counts.  Every term carries
+n^falling(e+d) = n^falling(d) (n-d)^falling(e) (Graham, Knuth and
+Patashnik, Concrete Mathematics, section 2.6), and only p_d(0) D^d lands
+on c_n.  In both operator families p_d(0) = 1; whenever p_d(0) = +-1, the
+relation divided by p_d(0) n^falling(d) is the count form
 
-    sum_{j=0}^{s} q_j(n) c_{n-j},  q_j = sum_{e-i-j_min = j} p_{i,e} n^falling(e-j_min),
+    c_n = sum_{j>=1} r_j(n) c_{n-j},  r_j = -p_d(0) sum_{e-i+d=j} p_{i,e} (n-d)^falling(e),
 
-since n! (n-j)^falling(i) a_{n-j} = n^falling(i+j) c_{n-j}.  It vanishes for
-every n >= valid_from = max(-j_min, 0), with c_m = 0 for m < 0: this is the
-D-finite to P-recursive correspondence (Stanley, "Differentiably finite
-power series", Eur. J. Combin. 1, 1980) written on counts.  Within one j
-the terms have distinct i, so their falling factorials have distinct
-degrees and cannot cancel: q_0 and q_s, read off the extreme terms, are
-nonzero.  q_0 vanishes exactly at the indices where the forward recurrence
-cannot determine a count.
-
-In both operator families the top coefficient p_d of an order-d operator
-is 1 at z = 0, so j_min = -d and q_0 = n^falling(d), whose integer roots
-are exactly 0..d-1.  Every other term carries n^falling(e+d) =
-n^falling(d) (n-d)^falling(e), so q_0 divides every q_j in Z[n]: the count
-form is monic for every k.  `count_form` proves both facts once, exactly,
-and refuses any recurrence that fails them (so far only a hand-built or
-corrupted one); there is no division fallback.  Each step is then
-c_n = -sum_j r_j(n) c_{n-j}, a few multiplies by small integers, and
-`SeededSequence` is the one place a stream can fail: once its int seeds
-reach past the roots 0..d-1, every count it streams is an integer.  That
-cannot tell a wrong integer seed from a right one, so `seed` compares the
-seeds and the first 2*span + 10 steps with the bounded word counts, an
-independent model of the same trees.
+whose coefficients in the falling basis of n - d are the operator's own
+integers: building it takes no product of big polynomials and no
+division.  `ode_to_recurrence` refuses any other operator (so far only a
+hand-built or corrupted one).  Each step is then a few multiplies by small
+integers, and `SeededSequence` is the one place a stream can fail: once
+its int seeds reach past the roots 0..d-1 of n^falling(d), every count it
+streams is an integer.  That cannot tell a wrong integer seed from a right
+one, so `seed` compares the seeds and the first 2*span + 10 steps with the
+bounded word counts, an independent model of the same trees.
 
 One loop (iter_counts) serves two number types: Python `int` (seeds, fits,
 tests) and `decimal.Decimal` (`compacta sequence`).  libmpdec keeps a
@@ -58,7 +52,6 @@ from collections import deque
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import cached_property
 from itertools import count, islice
 from math import factorial
 from operator import itemgetter
@@ -84,77 +77,59 @@ EXACT = decimal.Context(
 
 
 @dataclass(frozen=True)
-class CoeffRecurrence:
-    """sum_{j=0}^{s} coeffs[j](n) * c_{n-j} = 0 on the counts c_n = n! a_n.
+class CountRecurrence:
+    """c_n = sum_{j=1}^{span} steps[j-1](n) * c_{n-j} on the counts c_n = n! a_n,
+    for every n >= order (with c_m = 0 for m < 0)."""
 
-    Guaranteed for n >= valid_from (with c_m = 0 for m < 0); coeffs[0] is
-    not identically zero.
-    """
-
-    coeffs: tuple[IntPoly, ...]
-    valid_from: int
+    order: int
+    steps: tuple[IntPoly, ...]
 
     @property
     def span(self) -> int:
-        return len(self.coeffs) - 1
-
-    @cached_property
-    def count_form(self) -> tuple[IntPoly, ...]:
-        """(-r_1, ..., -r_s) with r_j = q_j / q_0 in Z[n]: c_n = -sum_j r_j(n) c_{n-j}.
-
-        Raises ValueError unless q_0 = +-n^falling(deg q_0), whose integer
-        roots are exactly 0..deg q_0 - 1, and q_0 divides every q_j.
-        """
-        q0, *rest = self.coeffs
-        falling = IntPoly(1)
-        for m in range(q0.degree):
-            falling *= IntPoly(-m, 1)
-        if q0 not in (falling, -falling):
-            raise ValueError(f"q_0 is not +-n^falling({q0.degree}): {q0.coeffs}")
-        try:
-            return tuple(-p.divexact(q0) for p in rest)
-        except ValueError:
-            raise ValueError("q_0 does not divide every q_j") from None
+        return len(self.steps)
 
 
-def ode_to_recurrence(op: DiffOperator) -> CoeffRecurrence:
-    """The recurrence on counts (module docstring): the term p_{i,e} z^e D^i
-    adds p_{i,e} n^falling(e - j_min) to coeffs[e - i - j_min]."""
-    if op.is_zero():
-        raise ValueError("zero operator has no recurrence")
+def ode_to_recurrence(op: DiffOperator) -> CountRecurrence:
+    """The count form of op (module docstring): with d = op.order, the term
+    p_{i,e} z^e D^i adds -p_d(0) p_{i,e} (n-d)^falling(e) to step e - i + d.
+
+    Raises ValueError unless p_d(0) = +-1.
+    """
+    d = op.order
+    lead = op.coeff(d)(0)
+    if lead not in (1, -1):
+        raise ValueError(f"p_{d}(0) = {lead} is not +-1")
     terms = [(i, e, c) for i, p in enumerate(op.coeffs) for e, c in enumerate(p.coeffs) if c]
-    j_min = min(e - i for i, e, _ in terms)
-    j_max = max(e - i for i, e, _ in terms)
-    falling = [IntPoly(1)]  # falling[m] = n^falling(m)
-    for m in range(max(e for _, e, _ in terms) - j_min):
-        falling.append(falling[m] * IntPoly(-m, 1))
-    coeffs = [IntPoly()] * (j_max - j_min + 1)
+    falling = [IntPoly(1)]  # falling[e] = (n-d)^falling(e)
+    for e in range(max(e for _, e, _ in terms)):
+        falling.append(falling[e] * IntPoly(-d - e, 1))
+    steps = [IntPoly()] * max(e - i + d for i, e, _ in terms)
     for i, e, c in terms:
-        coeffs[e - i - j_min] += c * falling[e - j_min]
-    return CoeffRecurrence(tuple(coeffs), valid_from=max(-j_min, 0))
+        if e - i + d:  # step 0 is the term p_d(0) D^d itself
+            steps[e - i + d - 1] += -lead * c * falling[e]
+    return CountRecurrence(d, tuple(steps))
 
 
 @dataclass(frozen=True)
 class SeededSequence:
-    """A recurrence plus enough exact leading counts to run it.
+    """A count recurrence plus enough exact leading counts to run it.
 
     seeds[n] is the count c_n for n < len(seeds).  Construction is the one
-    check of a stream: the seeds are ints, they cover n < valid_from and the
-    roots 0..deg q_0 - 1 of q_0, and the count form builds.  A stream that
-    was built yields an integer at every n and cannot fail partway.
+    check of a stream: the seeds are ints and cover n < order, the roots
+    0..order-1 of the n!-scaled leading coefficient.  A stream that was
+    built yields an integer at every n and cannot fail partway.
     """
 
-    rec: CoeffRecurrence
+    rec: CountRecurrence
     seeds: tuple[int, ...]
 
     def __post_init__(self):
         for n, c in enumerate(self.seeds):
             if not isinstance(c, int):
                 raise IntegralityError(f"seed c_{n} = {c} is not an integer")
-        need = max(self.rec.valid_from, self.rec.coeffs[0].degree, 1)
+        need = max(self.rec.order, 1)
         if len(self.seeds) < need:
             raise ValueError(f"need at least {need} seeds, got {len(self.seeds)}")
-        self.rec.count_form  # raises unless the recurrence is monic
 
 
 def _step(steps, window, n: int, zero):
@@ -176,7 +151,7 @@ def iter_counts(seq: SeededSequence, num: type = int):
         raise TypeError(f"num must be int or Decimal, got {num!r}")
     window = deque(maxlen=seq.rec.span)  # the last counts, newest last
     zero = num(0)
-    steps = seq.rec.count_form
+    steps = seq.rec.steps
     for n in count():
         if n < len(seq.seeds):
             c = num(seq.seeds[n])
@@ -215,14 +190,14 @@ def seed(k: int, family: str) -> SeededSequence:
     if k < 0:
         raise ValueError("k must be >= 0")
     rec = ode_to_recurrence(build_operator("compacted" if k == 0 else family, k))
-    n0 = max(rec.valid_from, rec.span, 1)
+    n0 = max(rec.order, rec.span, 1)
     words = word_counts(family, n0 + 2 * rec.span + 10, k)
     seq = SeededSequence(rec, tuple(build_table(family, n0 - 1).counts()))
     # each step runs on the word counts before it, so the first n that
     # differs is the first streamed count that differs
     for n, want in enumerate(words):
         window = words[max(n - rec.span, 0):n]
-        got = seq.seeds[n] if n < n0 else _step(rec.count_form, window, n, 0)
+        got = seq.seeds[n] if n < n0 else _step(rec.steps, window, n, 0)
         if got != want:
             raise IntegralityError(f"stream disagrees with the word counts at n = {n}")
     return seq

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import comb
 from typing import Iterable, Iterator
 
 from .compaction import is_compacted
@@ -36,6 +37,13 @@ class BudgetExceededError(RuntimeError):
         )
         self.estimate = estimate
         self.budget = budget
+
+
+def check_budget(estimate: int, budget: int | None) -> None:
+    """Raise BudgetExceededError if estimate is over budget (None: the default)."""
+    limit = DEFAULT_BUDGET if budget is None else budget
+    if estimate > limit:
+        raise BudgetExceededError(estimate, limit)
 
 
 @dataclass(frozen=True)
@@ -115,8 +123,25 @@ def spine_assignment_count(spine: SpineTree | None) -> int:
         node, right_depth = node.right, right_depth + 1
 
 
-def count_relaxed_spine_product(n: int, max_right_height: int | None = None) -> int:
-    """Relaxed-tree count by the spine product, independent of any table."""
+def spine_count(n: int, max_right_height: int | None = None) -> int:
+    """How many spines gen_spines yields: Catalan(n), or under a bound the
+    DP of its split (the right subtree one bound lower, none below 0)."""
+    if max_right_height is None or max_right_height >= n:
+        return comb(2 * n, n) // (n + 1)
+    below = [1] + [0] * n  # bound -1: the empty tree only
+    for _ in range(max_right_height + 1):
+        row = [1] + [0] * n
+        for size in range(1, n + 1):
+            row[size] = sum(row[left] * below[size - 1 - left] for left in range(size))
+        below = row
+    return below[n]
+
+
+def count_relaxed_spine_product(n: int, max_right_height: int | None = None,
+                                budget: int | None = None) -> int:
+    """Relaxed-tree count by the spine product, independent of any table.
+    The budget bounds the spines it walks, counted first."""
+    check_budget(spine_count(n, max_right_height), budget)
     return sum(spine_assignment_count(s) for s in gen_spines(n, max_right_height))
 
 
@@ -131,25 +156,20 @@ def spine_assignments(spine: SpineTree | None) -> Iterator[RelaxedDag]:
 
 
 def gen_relaxed(f: GenFilter, budget: int | None = None) -> Iterator[RelaxedDag]:
-    """Every relaxed DAG matching the filter, exactly once.
+    """Lazy iterator over every relaxed DAG matching the filter, once each.
 
-    The budget check counts them first with the O(n^2) word DP, not the
-    spine product, which walks every spine.
+    The budget is checked when called, by the O(n^2) word DP (the spine
+    product walks every spine), so a caller fails before it pulls anything.
     """
-    estimate = word_counts("relaxed", f.n, f.max_right_height)[f.n]
-    limit = DEFAULT_BUDGET if budget is None else budget
-    if estimate > limit:
-        raise BudgetExceededError(estimate, limit)
-    for spine in gen_spines(f.n, f.max_right_height):
-        yield from spine_assignments(spine)
+    check_budget(word_counts("relaxed", f.n, f.max_right_height)[f.n], budget)
+    spines = gen_spines(f.n, f.max_right_height)
+    return (dag for spine in spines for dag in spine_assignments(spine))
 
 
 def gen_compacted(f: GenFilter, budget: int | None = None) -> Iterator[RelaxedDag]:
-    """The relaxed stream filtered by subtree uniqueness."""
-    relaxed_filter = GenFilter(f.n, f.max_right_height, "relaxed")
-    for dag in gen_relaxed(relaxed_filter, budget):
-        if is_compacted(dag):
-            yield dag
+    """gen_relaxed filtered by subtree uniqueness, budget checked when called."""
+    dags = gen_relaxed(GenFilter(f.n, f.max_right_height, "relaxed"), budget)
+    return (dag for dag in dags if is_compacted(dag))
 
 
 def generate(f: GenFilter, budget: int | None = None) -> Iterator[RelaxedDag]:

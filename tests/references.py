@@ -4,18 +4,13 @@ Each one is an independent way to compute or compare what the package
 computes; none has a caller in the package itself.
 """
 
+from dataclasses import dataclass
 from decimal import localcontext
 
 from mpmath import mp, mpf
 
 from compacta.asympt import WORK_PREC, scaled_ratio_log, singularity_data
-from compacta.dfinite import (
-    EXACT,
-    CoeffRecurrence,
-    IntegralityError,
-    SeededSequence,
-    iter_sequence,
-)
+from compacta.dfinite import EXACT, IntegralityError, iter_sequence
 from compacta.operators import DiffOperator
 from compacta.poly import ONE, IntPoly, chebyshev_t, chebyshev_u
 
@@ -68,12 +63,25 @@ def falling_factorial_poly(j: int, offset: int = 0) -> IntPoly:
     return acc
 
 
+@dataclass(frozen=True)
+class CoeffRecurrence:
+    """sum_{j=0}^{span} coeffs[j](n) * x_{n-j} = 0 for n >= valid_from (with
+    x_m = 0 for m < 0), x the ordinary coefficients a_n or the counts c_n;
+    coeffs[0] is not identically zero."""
+
+    coeffs: tuple[IntPoly, ...]
+    valid_from: int
+
+    @property
+    def span(self) -> int:
+        return len(self.coeffs) - 1
+
+
 def ordinary_recurrence(op: DiffOperator) -> CoeffRecurrence:
     """The recurrence sum_j q_j(n) a_{n-j} = 0 on the ordinary coefficients
     a_n = c_n/n!, by coefficient extraction: p_{i,e} z^e D^i adds
     p_{i,e} (N - j)^falling(i) to the coefficient of a_{N-j}, j = e - i, and
-    each group is shifted to n = N - j_min.  `ode_to_recurrence` gives the
-    same relation times n!, so its coeffs[j] is q_j * n^falling(j)."""
+    each group is shifted to n = N - j_min."""
     if op.is_zero():
         raise ValueError("zero operator has no recurrence")
     terms: dict[int, IntPoly] = {}
@@ -93,6 +101,15 @@ def ordinary_recurrence(op: DiffOperator) -> CoeffRecurrence:
     return CoeffRecurrence(tuple(shifted), valid_from=max(-j_min, 0))
 
 
+def scaled_recurrence(op: DiffOperator) -> CoeffRecurrence:
+    """The n!-scaled form of `ordinary_recurrence(op)`: the same relation on
+    the counts c_n = n! a_n, with coeffs[j] = q_j * n^falling(j)."""
+    ordinary = ordinary_recurrence(op)
+    return CoeffRecurrence(
+        tuple(q * falling_factorial_poly(j) for j, q in enumerate(ordinary.coeffs)),
+        ordinary.valid_from)
+
+
 def residual(rec: CoeffRecurrence, counts, n: int):
     """Value of the recurrence's relation at index n over the given counts,
     with c_m = 0 outside the list."""
@@ -103,17 +120,16 @@ def residual(rec: CoeffRecurrence, counts, n: int):
     return acc
 
 
-def division_counts(seq: SeededSequence, num: type = int):
-    """Yield (n, c_n) forever by one exact division per step:
-    c_n = -sum_j q_j(n) c_{n-j} / q_0(n), with the remainder checked.  The
-    stream as it was before its count form was made monic; a step runs in
-    EXACT, which only a Decimal step reads."""
-    qpolys = seq.rec.coeffs
+def division_counts(rec: CoeffRecurrence, seeds, num: type = int):
+    """Yield (n, c_n) forever from seeds[n] and then by one exact division
+    per step: c_n = -sum_j q_j(n) c_{n-j} / q_0(n), with the remainder
+    checked.  A step runs in EXACT, which only a Decimal step reads."""
+    qpolys = rec.coeffs
     window: list = []  # last `span` counts, newest last
     n = 0
     while True:
-        if n < len(seq.seeds):
-            c = seq.seeds[n]
+        if n < len(seeds):
+            c = seeds[n]
             if c.denominator != 1:
                 raise IntegralityError(f"seed c_{n} = {c} is not an integer")
             c = num(int(c))
@@ -131,7 +147,7 @@ def division_counts(seq: SeededSequence, num: type = int):
                     raise IntegralityError(f"non-integral value at n = {n}")
         yield n, c
         window.append(c)
-        if len(window) > seq.rec.span:
+        if len(window) > rec.span:
             window.pop(0)
         n += 1
 

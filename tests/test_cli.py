@@ -7,6 +7,7 @@ import pytest
 
 from compacta import asympt, cli, dfinite, operators
 from compacta.cli import run
+from compacta.operators import DiffOperator
 from compacta.poly import IntPoly
 from compacta.recurrences import build_table
 from compacta.trees import dag_from_text
@@ -107,11 +108,10 @@ def test_sequence_leaves_the_decimal_context_alone(capsys):
 
 
 def _doubled_leading(real):
-    # q_0 doubled: no longer +-n^falling(d)
-    def corrupted(op):
-        rec = real(op)
-        q0, *rest = rec.coeffs
-        return dfinite.CoeffRecurrence((q0 * 2, *rest), rec.valid_from)
+    # p_d doubled: p_d(0) = 2, so the count form would need a division
+    def corrupted(family, k):
+        op = real(family, k)
+        return DiffOperator(*op.coeffs[:-1], 2 * op.coeffs[-1])
     return corrupted
 
 
@@ -125,8 +125,7 @@ def _half_seed(real):
 
 
 @pytest.mark.parametrize("name, corrupt, err", [
-    ("ode_to_recurrence", _doubled_leading,
-     "error: q_0 is not +-n^falling(3): (0, 4, -6, 2)\n"),
+    ("build_operator", _doubled_leading, "error: p_3(0) = 2 is not +-1\n"),
     ("build_table", _half_seed, "error: seed c_2 = 7/2 is not an integer\n"),
 ], ids=["doubled_q0", "half_seed"])
 def test_sequence_with_a_corrupt_recurrence_prints_nothing(name, corrupt, err,
@@ -222,6 +221,33 @@ def test_enumerate_far_over_the_budget_fails_at_once(capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: enumeration would produce ")
     assert captured.err.endswith(" objects, budget is 1000\n")
+
+
+@pytest.mark.parametrize("kind", ["relaxed", "compacted"])
+def test_enumerate_over_the_budget_leaves_the_emit_file_alone(kind, tmp_path, capsys):
+    # the budget is checked before the file is opened for writing
+    target = tmp_path / "dags.txt"
+    target.write_text("old contents\n")
+    assert run(["enumerate", "--n", "40", "--kind", kind, "--budget", "1000",
+                "--emit", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(" objects, budget is 1000\n")
+    assert target.read_text() == "old contents\n"
+
+
+@pytest.mark.parametrize("bound", [[], ["--max-right-height", "3"]])
+def test_relaxed_count_only_over_the_budget_fails_at_once(bound, capsys):
+    # the spine product walks every spine: Catalan(20) = 6564120420 of
+    # them, 581130734 under right height 3, so they are counted first
+    argv = ["enumerate", "--kind", "relaxed", "--n", "20", "--count-only", *bound]
+    assert run([*argv, "--budget", "1000"]) == 1
+    captured = capsys.readouterr()
+    estimate = "581130734" if bound else "6564120420"
+    assert (captured.out, captured.err) == (
+        "", f"error: enumeration would produce {estimate} objects, budget is 1000\n")
+    assert run(argv) == 1  # over the default budget of 10^8 too
+    assert capsys.readouterr().out == ""
 
 
 def test_compact_command(tmp_path, capsys):

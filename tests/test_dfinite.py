@@ -9,7 +9,6 @@ import pytest
 
 from compacta import dfinite
 from compacta.dfinite import (
-    CoeffRecurrence,
     IntegralityError,
     SeededSequence,
     closed_form_oracle,
@@ -20,14 +19,19 @@ from compacta.dfinite import (
     stream,
 )
 from compacta.exhaustive import brute_count
-from compacta.operators import build_operator, compacted_operator, relaxed_operator
+from compacta.operators import (
+    DiffOperator,
+    build_operator,
+    compacted_operator,
+    relaxed_operator,
+)
 from compacta.poly import IntPoly
 from compacta.recurrences import build_table, word_counts
 from references import (
     apply_operator,
     division_counts,
     falling_factorial_poly,
-    ordinary_recurrence,
+    scaled_recurrence,
 )
 from references import residual as rec_residual  # `residual` is a local below
 
@@ -44,49 +48,46 @@ def double_factorial_odd(n):
 
 def test_order_one_recurrence_shape():
     # (1-2z)D - 1 annihilates sum (2n-1)!! z^n/n!; the induced relation on
-    # the counts is n c_n = n(2n-1) c_{n-1}
-    rec = ode_to_recurrence(relaxed_operator(1))
-    assert rec.span == 1
-    assert rec.valid_from == 1
-    assert rec.coeffs[0] == IntPoly(0, 1)
-    assert rec.coeffs[1] == IntPoly(0, 1, -2)
+    # the counts is n c_n = n(2n-1) c_{n-1}, whose count form is
+    # c_n = (2n-1) c_{n-1}
+    op = relaxed_operator(1)
+    rec, ref = ode_to_recurrence(op), scaled_recurrence(op)
+    assert (rec.order, rec.steps) == (1, (IntPoly(-1, 2),))
+    assert (ref.valid_from, ref.coeffs) == (1, (IntPoly(0, 1), IntPoly(0, 1, -2)))
     c = [double_factorial_odd(n) for n in range(10)]
     for n in range(1, 10):
-        assert rec_residual(rec, c, n) == 0
+        assert rec_residual(ref, c, n) == 0
 
 
 def test_recurrence_annihilates_truncated_series():
     # an annihilator composed with its solution's coefficients gives zero
+    # and each step of the count form, on the word counts, gives the next
     for k in (1, 2, 3):
         op = relaxed_operator(k)
-        counts = list(sequence_values(k, "relaxed", 55))
+        counts = list(word_counts("relaxed", 55, k))
         series = [Fraction(c, factorial(n)) for n, c in enumerate(counts)]
         residual = apply_operator(op, series, 50)
         assert all(v == 0 for v in residual)
         rec = ode_to_recurrence(op)
-        for n in range(rec.valid_from, 50):
-            assert rec_residual(rec, counts, n) == 0
+        for n in range(rec.order, 50):
+            window = counts[max(n - rec.span, 0):n]
+            assert dfinite._step(rec.steps, window, n, 0) == counts[n]
 
 
 @pytest.mark.parametrize("family", ["relaxed", "compacted"])
-@pytest.mark.parametrize("k", [*range(13), 20, 40])
+@pytest.mark.parametrize("k", range(41))
 def test_count_recurrence_is_the_ordinary_one_times_n_factorial(k, family):
-    # relaxed k = 0 is the base A_0 = 1 - z
+    # the n!-scaled ordinary recurrence has q_0 = +-n^falling(d), whose
+    # integer roots are exactly 0..d-1, and q_0 times each step is its next
+    # term: the steps read off the operator need no division.  Relaxed k = 0
+    # is the base A_0 = 1 - z
     op = build_operator(family, k)
-    got, ordinary = ode_to_recurrence(op), ordinary_recurrence(op)
-    assert (got.valid_from, got.span) == (ordinary.valid_from, ordinary.span)
-    for j, q in enumerate(ordinary.coeffs):
-        assert got.coeffs[j] == q * falling_factorial_poly(j), j
-
-
-def test_leading_integer_roots():
-    # q_0 = +-n^falling(order): its integer roots are exactly 0..order-1
-    for family in ("relaxed", "compacted"):
-        for k in range(41):
-            op = build_operator("compacted" if k == 0 else family, k)
-            q0 = ode_to_recurrence(op).coeffs[0]
-            assert q0 in (falling_factorial_poly(op.order),
-                          -falling_factorial_poly(op.order)), (family, k)
+    rec, ref = ode_to_recurrence(op), scaled_recurrence(op)
+    lead = op.coeff(op.order)(0)
+    assert lead in (1, -1)
+    q0 = lead * falling_factorial_poly(op.order)
+    assert ref.coeffs == (q0, *(-r * q0 for r in rec.steps))
+    assert rec.order == ref.valid_from == op.order
 
 
 def test_seeded_sequence_rejects_short_seeds():
@@ -218,15 +219,13 @@ def test_non_integral_seed_raises():
 
 
 def test_inexact_division_raises():
-    # 2 c_n + n c_{n-1} = 0 forces a half-integer at the first step; the
-    # recurrence is refused when the sequence is built, before any count
-    rec = CoeffRecurrence((IntPoly(2), IntPoly(0, 1)), valid_from=0)
-    with pytest.raises(ValueError, match=r"^q_0 is not \+-n\^falling\(0\): \(2,\)$"):
-        SeededSequence(rec, (1,))
-    # n c_n + c_{n-1} = 0: q_0 = n has the right roots but divides no 1
-    rec = CoeffRecurrence((IntPoly(0, 1), IntPoly(1)), valid_from=1)
-    with pytest.raises(ValueError, match=r"^q_0 does not divide every q_j$"):
-        SeededSequence(rec, (1,))
+    # 2 + z: on the counts, 2 c_n + n c_{n-1} = 0 forces a half-integer at
+    # the first step.  p_0(0) = 2, so the operator is refused before any
+    # sequence is built
+    op = DiffOperator(IntPoly(2, 1))
+    assert scaled_recurrence(op).coeffs == (IntPoly(2), IntPoly(0, 1))
+    with pytest.raises(ValueError, match=r"^p_0\(0\) = 2 is not \+-1$"):
+        ode_to_recurrence(op)
 
 
 def test_relaxed_zero_streams_factorials():
@@ -237,23 +236,26 @@ def test_relaxed_zero_streams_factorials():
 # --- exact decimal streams ---------------------------------------------------
 
 
-def half_count_seed(sq):
+def half_count_seed(k, family):
     # the last seed's count off by one half: no longer an integer count
+    sq = seed(k, family)
     m = len(sq.seeds) - 1
     return SeededSequence(sq.rec, sq.seeds[:m] + (sq.seeds[m] + Fraction(1, 2),))
 
 
-def doubled_leading(sq):
-    # 2 q_0: no longer +-n^falling(d), so it could divide no count exactly
-    q0, *rest = sq.rec.coeffs
-    return SeededSequence(CoeffRecurrence((q0 * 2, *rest), sq.rec.valid_from), sq.seeds)
+def doubled_leading(k, family):
+    # 2 p_d: p_d(0) = 2, so the n!-scaled q_0 = 2 n^falling(d) divides no
+    # count exactly
+    op = build_operator(family, k)
+    doubled = DiffOperator(*op.coeffs[:-1], 2 * op.coeffs[-1])
+    return SeededSequence(ode_to_recurrence(doubled), seed(k, family).seeds)
 
 
 def division_error(rec, seeds, num):
     # the per-step division reference, run to its first error
     got = []
     with pytest.raises(IntegralityError) as exc:
-        for _, c in islice(division_counts(SimpleNamespace(rec=rec, seeds=seeds), num), 51):
+        for _, c in islice(division_counts(rec, seeds, num), 51):
             got.append(c)
     return str(exc.value), got
 
@@ -288,23 +290,24 @@ def test_decimal_stream_leaves_the_context_alone():
 @pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("corrupt, error, message", [
     (half_count_seed, IntegralityError, r"^seed c_\d+ = \d+/2 is not an integer$"),
-    (doubled_leading, ValueError, r"^q_0 is not \+-n\^falling\(\d+\): "),
+    (doubled_leading, ValueError, r"^p_\d+\(0\) = 2 is not \+-1$"),
 ], ids=["half_count_seed", "doubled_leading"])
 def test_decimal_stream_raises_where_the_int_stream_does(corrupt, error, message, k, family):
     # the sequence is refused when built, so nothing can fail mid-stream,
     # in either number type
     for num in (int, Decimal):
         with pytest.raises(error, match=message):
-            list(stream(corrupt(seed(k, family)), 50, num))
+            list(stream(corrupt(k, family), 50, num))
 
 
 def test_decimal_stream_rejects_an_inexact_division():
-    # 2 c_n + n c_{n-1} = 0: refused when built; only a per-step division
-    # would have reached n = 1
-    rec = CoeffRecurrence((IntPoly(2), IntPoly(0, 1)), valid_from=0)
-    with pytest.raises(ValueError, match=r"^q_0 is not \+-n\^falling\(0\): \(2,\)$"):
-        list(stream(SeededSequence(rec, (1,)), 5, Decimal))
-    assert division_error(rec, (1,), Decimal) == ("non-integral value at n = 1", [1])
+    # 2 + z, so 2 c_n + n c_{n-1} = 0: refused when built; only a per-step
+    # division would have reached n = 1
+    op = DiffOperator(IntPoly(2, 1))
+    with pytest.raises(ValueError, match=r"^p_0\(0\) = 2 is not \+-1$"):
+        list(stream(SeededSequence(ode_to_recurrence(op), (1,)), 5, Decimal))
+    assert division_error(scaled_recurrence(op), (1,), Decimal) == (
+        "non-integral value at n = 1", [1])
 
 
 def test_stream_takes_int_or_decimal():
@@ -320,30 +323,25 @@ def test_stream_takes_int_or_decimal():
 @pytest.mark.parametrize("k", [0, 1, 2, 5, 12, 40])
 def test_stream_equals_the_division_reference(k, family, num):
     seq = seed(k, family)
+    ref = scaled_recurrence(build_operator("compacted" if k == 0 else family, k))
     got = list(islice(iter_counts(seq, num), 301))
-    want = list(islice(division_counts(seq, num), 301))
+    want = list(islice(division_counts(ref, seq.seeds, num), 301))
     assert got == want
     assert [(type(c), str(c)) for _, c in got] == [(type(c), str(c)) for _, c in want]
 
 
-@pytest.mark.parametrize("family", ["relaxed", "compacted"])
-def test_count_form_is_certified_monic(family):
-    # q_0 divides every n!-scaled term exactly, so no step divides
-    for k in range(41):
-        rec = ode_to_recurrence(build_operator("compacted" if k == 0 else family, k))
-        q0, *rest = rec.coeffs
-        assert [-r * q0 for r in rec.count_form] == rest, k
-
-
 @pytest.mark.parametrize("num", [int, Decimal])
 def test_a_form_that_is_not_monic_divides_each_step(num):
-    # 2 c_n = n(n-1) c_{n-1}: n(n-1) is not a multiple of 2 in Z[n], even
-    # though n(n-1)/2 is an integer at every n.  Only a per-step division
-    # could run it, so the stream refuses it when built
-    rec = CoeffRecurrence((IntPoly(2), IntPoly(0, 1, -1)), valid_from=0)
-    with pytest.raises(ValueError, match=r"^q_0 is not \+-n\^falling\(0\): \(2,\)$"):
-        list(stream(SeededSequence(rec, (1, 1)), 8, num))
-    got = [c for _, c in islice(division_counts(SimpleNamespace(rec=rec, seeds=(1, 1)), num), 9)]
+    # 2 - z^2 D: on the counts, 2 c_n = n(n-1) c_{n-1}.  n(n-1) is not a
+    # multiple of 2 in Z[n], even though n(n-1)/2 is an integer at every n.
+    # Only a per-step division could run it, so the stream refuses it when
+    # built
+    op = DiffOperator(IntPoly(2), IntPoly(0, 0, -1))
+    ref = scaled_recurrence(op)
+    assert ref.coeffs == (IntPoly(2), IntPoly(0, 1, -1))
+    with pytest.raises(ValueError, match=r"^p_1\(0\) = 0 is not \+-1$"):
+        list(stream(SeededSequence(ode_to_recurrence(op), (1, 1)), 8, num))
+    got = [c for _, c in islice(division_counts(ref, (1, 1), num), 9)]
     assert got == [1, 1, 1, 3, 18, 180, 2700, 56700, 1587600]
 
 
@@ -353,14 +351,20 @@ def test_a_form_that_is_not_monic_divides_each_step(num):
     (IntPoly(0, 30, 29, -1), False),  # c_n = n(n+1)/2 c_{n-1}, divided
 ])
 def test_stream_stops_where_the_leading_coefficient_vanishes(q1, monic, num):
-    # q_0 vanishes at n = 30, which no seed reaches: the sequence is refused
-    # when built, where a per-step check would only stop at n = 30
+    # the operator whose n!-scaled recurrence is q_0 c_n + q_1 c_{n-1} = 0
+    # has p_d(0) = 0, and q_0 vanishes at n = 30, which no seed reaches.  It
+    # is refused when the stream is built, where a per-step check would only
+    # stop at n = 30
     q0 = IntPoly(-30, 1) * (1 if monic else 2)
-    rec = CoeffRecurrence((q0, q1), valid_from=0)
-    with pytest.raises(ValueError) as exc:
-        list(stream(SeededSequence(rec, (1,)), 50, num))
-    assert str(exc.value) == f"q_0 is not +-n^falling(1): {q0.coeffs}"
-    msg, got = division_error(rec, (1,), num)
+    if monic:
+        op = DiffOperator(IntPoly(-30, 29), IntPoly(0, 1, -1))
+    else:
+        op = DiffOperator(IntPoly(-60, 58), IntPoly(0, 2, 26), IntPoly(0, 0, 0, -1))
+    ref = scaled_recurrence(op)
+    assert ref.coeffs == (q0, q1)
+    with pytest.raises(ValueError, match=rf"^p_{op.order}\(0\) = 0 is not \+-1$"):
+        list(stream(SeededSequence(ode_to_recurrence(op), (1,)), 50, num))
+    msg, got = division_error(ref, (1,), num)
     assert msg == "leading coefficient vanishes at n = 30; seeds must extend past it"
     assert len(got) == 30
 

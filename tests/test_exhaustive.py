@@ -8,9 +8,11 @@ from compacta.exhaustive import (
     GenFilter,
     brute_count,
     count_relaxed_spine_product,
+    gen_compacted,
     gen_relaxed,
     gen_spines,
     spine_assignment_count,
+    spine_count,
 )
 from compacta.recurrences import build_table
 from compacta.trees import (
@@ -63,8 +65,9 @@ def _recursive_spines(n, bound=None):
 @pytest.mark.parametrize("bound", [None, 0, 1, 2, 3])
 def test_spines_come_in_the_order_of_the_plain_recursion(bound):
     for n in range(8):
-        assert [spine_shape(s) for s in gen_spines(n, bound)] == \
-            [spine_shape(s) for s in _recursive_spines(n, bound)]
+        shapes = [spine_shape(s) for s in gen_spines(n, bound)]
+        assert shapes == [spine_shape(s) for s in _recursive_spines(n, bound)]
+        assert spine_count(n, bound) == len(shapes)
 
 
 def test_spine_product_multiplies_the_slot_pools():
@@ -121,9 +124,20 @@ def test_bounded_counts_monotone_in_k():
 
 
 def test_budget_guard():
+    # checked when called, not at the first next(), so a caller can fail
+    # before it opens an output
+    for gen in (gen_relaxed, gen_compacted):
+        with pytest.raises(BudgetExceededError) as err:
+            gen(GenFilter(8), budget=1000)
+        assert err.value.estimate == 6173791
+
+
+def test_spine_product_budget_counts_the_spines():
+    # the budget bounds the spines walked, not the DAGs counted
+    assert count_relaxed_spine_product(9, budget=catalan(9)) == 142190703
     with pytest.raises(BudgetExceededError) as err:
-        list(gen_relaxed(GenFilter(8), budget=1000))
-    assert err.value.estimate == 6173791
+        count_relaxed_spine_product(9, budget=catalan(9) - 1)
+    assert err.value.estimate == catalan(9)
 
 
 def test_brute_count_kinds():
