@@ -29,30 +29,24 @@ from .dfinite import (
     IntegralityError,
     SeededSequence,
     closed_form_oracle,
-    iter_sequence,
     ode_to_recurrence,
     seed,
     sequence_values,
-    stream,
 )
 from .exhaustive import (
     BudgetExceededError,
-    GenFilter,
     brute_count,
     count_relaxed_spine_product,
-    gen_compacted,
-    gen_relaxed,
     gen_spines,
+    generate,
 )
 from .operators import (
     DiffOperator,
     build_operator,
     coeff_recurrences_check,
-    compacted_operator,
     op_compose,
-    relaxed_operator,
 )
-from .poly import IntPoly, chebyshev_t, chebyshev_u
+from .poly import IntPoly
 from .recurrences import CountTable, build_table, word_counts
 from .trees import (
     BinaryTree,
@@ -63,7 +57,6 @@ from .trees import (
     dag_to_text,
     parse_tree,
     print_tree,
-    right_height,
     validate,
 )
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from mpmath import mp, mpf
 
-from .dfinite import iter_sequence
+from .dfinite import iter_counts, seed
 from .operators import build_operator
 from .poly import IntPoly, binomial_alternating_poly
 
@@ -230,7 +230,7 @@ def scaled_ratios(data: SingularityData, ns) -> list[tuple[int, mpf]]:
     last = max(wanted)
     points = []
     with mp.workprec(WORK_PREC):
-        for n, count in iter_sequence(data.k, data.family):
+        for n, count in iter_counts(seed(data.k, data.family)):
             if n in wanted:
                 u = mp.exp(scaled_ratio_log(count, n, data.growth, data.exponent))
                 points.append((n, u))
@@ -261,14 +261,15 @@ def fit_constant(data: SingularityData, n_max: int) -> FitResult:
     with growth and exponent taken from ``data`` as given.
 
     Evaluates u_n on the dyadic ladder n_max, n_max/2, ..., n_max/16 and
-    Richardson-extrapolates in 1/n to order FIT_ORDER.
+    Richardson-extrapolates in 1/n to order FIT_ORDER.  n_max >= 2, so the
+    ladder has at least two points and convergence has something to compare.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if n_max < 2:
+        raise ValueError(f"n_max must be >= 2, got {n_max}")
     points = scaled_ratios(data, {max(n_max >> j, 1) for j in range(5)})
     with mp.workprec(WORK_PREC):
         estimate, diag = _richardson(points, FIT_ORDER)
-        converged = len(diag) < 2 or abs(diag[-1] - diag[-2]) <= mpf("1e-3") * abs(diag[-1])
+        converged = abs(diag[-1] - diag[-2]) <= mpf("1e-3") * abs(diag[-1])
         return FitResult(
             float(estimate),
             tuple((n, float(u)) for n, u in points),

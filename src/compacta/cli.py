@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import asympt, dfinite, exhaustive, recurrences
 from .compaction import uid_compact
-from .exhaustive import BudgetExceededError, GenFilter
+from .exhaustive import BudgetExceededError
 from .operators import build_operator, format_operator
 from .trees import ParseError, dag_to_text
 
@@ -85,7 +85,6 @@ def _cmd_compact(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    f = GenFilter(args.n, args.max_right_height, args.kind)
     if args.count_only and args.kind == "relaxed":
         # product shortcut; no object is materialized
         print(exhaustive.count_relaxed_spine_product(args.n, args.max_right_height,
@@ -94,16 +93,16 @@ def _cmd_enumerate(args) -> int:
     if args.count_only:
         print(exhaustive.brute_count(args.n, args.kind, args.max_right_height, args.budget))
         return 0
-    stream = exhaustive.generate(f, args.budget)
+    dags = exhaustive.generate(args.n, args.kind, args.max_right_height, args.budget)
     if args.emit:
         count = 0
         with open(args.emit, "w", encoding="utf-8") as fh:
-            for dag in stream:
+            for dag in dags:
                 fh.write(dag_to_text(dag) + "\n")
                 count += 1
         print(count)
         return 0
-    for dag in stream:
+    for dag in dags:
         print(dag_to_text(dag))
     return 0
 

@@ -32,9 +32,9 @@ linear in its digits, where printing a big `int` is quadratic.  Each
 Decimal step runs in EXACT, a context wide enough never to round that traps
 any rounding, so the result is exact whatever the caller's context; the
 context is entered around one step at a time and never held across a
-`yield`.  `stream` and `sequence_values` check their arguments and build
-the seeds when called, then return a lazy iterator, so a caller can print
-each count as it comes and still see a bad argument before anything is
+`yield`.  `sequence_values` checks its arguments and builds the seeds
+when called, then returns a lazy iterator, so a caller can print each
+count as it comes and still see a bad argument before anything is
 printed.
 
 The seeds are the counts n < d from the exact count table.  The order d
@@ -164,17 +164,6 @@ def iter_counts(seq: SeededSequence, num: type = int):
         window.append(c)
 
 
-def stream(seq: SeededSequence, upto: int, num: type = int):
-    """Lazy iterator over the exact counts c_n for n = 0..upto.
-
-    upto is checked when called; the counts are computed as they are
-    pulled, in the number type num (see iter_counts).
-    """
-    if upto < 0:
-        raise ValueError("upto must be >= 0")
-    return map(itemgetter(1), islice(iter_counts(seq, num), upto + 1))
-
-
 def seed(k: int, family: str) -> SeededSequence:
     """Seeded sequence for the counts of trees of right height <= k.
 
@@ -212,12 +201,7 @@ def sequence_values(k: int, family: str, upto: int, num: type = int):
     """
     if upto < 0:
         raise ValueError("upto must be >= 0")
-    return stream(seed(k, family), upto, num)
-
-
-def iter_sequence(k: int, family: str):
-    """Yield (n, count) forever for the bounded-right-height sequence."""
-    yield from iter_counts(seed(k, family))
+    return map(itemgetter(1), islice(iter_counts(seed(k, family), num), upto + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ slot is visited), so the assignments are enumerated by mixed-radix counting
 and the number of relaxed DAGs over a spine is the product of (pool + 1)
 over its slots.  Summing that product over spines is the fast relaxed-count
 oracle; the compacted count has no such shortcut because subtree uniqueness
-couples the slots, so compacted enumeration filters the relaxed stream.
-At size 7 (311250 relaxed DAGs) filtered enumeration takes about 1 s on a
-2-CPU x86-64 host with CPython 3.11.
+couples the slots, so `generate` filters the relaxed DAGs by is_compacted.
+At size 7 (311250 relaxed DAGs) that takes 1-2 s on a 2-CPU x86-64 host
+with CPython 3.11.  `generate`, `brute_count` and the spine product check
+their arguments and the budget when called, before any object is built.
 
 Output order is deterministic: spines are emitted smallest-left-subtree
 first, assignments in mixed-radix order with the last slot fastest.
@@ -16,7 +17,6 @@ first, assignments in mixed-radix order with the last slot fastest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import comb
 from typing import Iterable, Iterator
@@ -46,21 +46,14 @@ def check_budget(estimate: int, budget: int | None) -> None:
         raise BudgetExceededError(estimate, limit)
 
 
-@dataclass(frozen=True)
-class GenFilter:
-    """What to generate: size, optional right-height bound, and the kind."""
-
-    n: int
-    max_right_height: int | None = None
-    kind: str = "relaxed"
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("n must be >= 0")
-        if self.max_right_height is not None and self.max_right_height < 0:
-            raise ValueError("right-height bound must be >= 0")
-        if self.kind not in ("relaxed", "compacted"):
-            raise ValueError(f"kind must be 'relaxed' or 'compacted', got {self.kind!r}")
+def _check_args(n: int, kind: str, max_right_height: int | None) -> None:
+    """Raise ValueError for a negative size or bound, or an unknown kind."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if max_right_height is not None and max_right_height < 0:
+        raise ValueError("right-height bound must be >= 0")
+    if kind not in ("relaxed", "compacted"):
+        raise ValueError(f"kind must be 'relaxed' or 'compacted', got {kind!r}")
 
 
 def gen_spines(n: int, max_right_height: int | None = None) -> Iterator[SpineTree | None]:
@@ -141,6 +134,7 @@ def count_relaxed_spine_product(n: int, max_right_height: int | None = None,
                                 budget: int | None = None) -> int:
     """Relaxed-tree count by the spine product, independent of any table.
     The budget bounds the spines it walks, counted first."""
+    _check_args(n, "relaxed", max_right_height)
     check_budget(spine_count(n, max_right_height), budget)
     return sum(spine_assignment_count(s) for s in gen_spines(n, max_right_height))
 
@@ -155,30 +149,24 @@ def spine_assignments(spine: SpineTree | None) -> Iterator[RelaxedDag]:
         yield RelaxedDag(spine, dict(zip(keys, targets)))
 
 
-def gen_relaxed(f: GenFilter, budget: int | None = None) -> Iterator[RelaxedDag]:
-    """Lazy iterator over every relaxed DAG matching the filter, once each.
+def generate(n: int, kind: str, max_right_height: int | None = None,
+             budget: int | None = None) -> Iterator[RelaxedDag]:
+    """Lazy generator over every DAG of the kind, size n and bound, once each.
 
-    The budget is checked when called, by the O(n^2) word DP (the spine
-    product walks every spine), so a caller fails before it pulls anything.
+    The arguments and the budget are checked when called, the budget by the
+    O(n^2) relaxed word DP (the spine product walks every spine), so a
+    caller fails before it pulls anything.  Compacted DAGs are the relaxed
+    ones that pass is_compacted.
     """
-    check_budget(word_counts("relaxed", f.n, f.max_right_height)[f.n], budget)
-    spines = gen_spines(f.n, f.max_right_height)
-    return (dag for spine in spines for dag in spine_assignments(spine))
-
-
-def gen_compacted(f: GenFilter, budget: int | None = None) -> Iterator[RelaxedDag]:
-    """gen_relaxed filtered by subtree uniqueness, budget checked when called."""
-    dags = gen_relaxed(GenFilter(f.n, f.max_right_height, "relaxed"), budget)
-    return (dag for dag in dags if is_compacted(dag))
-
-
-def generate(f: GenFilter, budget: int | None = None) -> Iterator[RelaxedDag]:
-    if f.kind == "relaxed":
-        return gen_relaxed(f, budget)
-    return gen_compacted(f, budget)
+    _check_args(n, kind, max_right_height)
+    check_budget(word_counts("relaxed", n, max_right_height)[n], budget)
+    spines = gen_spines(n, max_right_height)
+    if kind == "relaxed":
+        return (dag for spine in spines for dag in spine_assignments(spine))
+    return (dag for spine in spines for dag in spine_assignments(spine) if is_compacted(dag))
 
 
 def brute_count(n: int, kind: str, max_right_height: int | None = None,
                 budget: int | None = None) -> int:
     """Count by explicit generation (the slow, assumption-free oracle)."""
-    return sum(1 for _ in generate(GenFilter(n, max_right_height, kind), budget))
+    return sum(1 for _ in generate(n, kind, max_right_height, budget))

@@ -121,7 +121,12 @@ def format_operator(op: DiffOperator, latex: bool = False) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Operator families indexed by the right-height bound k.
+# Operator families indexed by the right-height bound k, by composition:
+#   relaxed    A_0 = 1-z, A_1 = (1-2z)D - 1, A_k = A_{k-1} D - A_{k-2} D^2 z;
+#   compacted  B_0 = (1-z)D - 1, B_1 = (1-2z)D^2 - (3-z)D,
+#              B_k = B_{k-1} D - B_{k-2} (D^2 z - z D).
+# A_0 is the base of the relaxed recursion only: the relaxed k = 0 series
+# (n! left combs) is annihilated by B_0.
 # ---------------------------------------------------------------------------
 
 D2Z = op_compose(op_compose(D, D), MUL_Z)  # z D^2 + 2 D
@@ -141,25 +146,6 @@ _COMPACTED = (
     DiffOperator(IntPoly(-1), IntPoly(1, -1)),
     DiffOperator(ZERO, IntPoly(-3, 1), IntPoly(1, -2)),
 )
-
-
-def relaxed_operator(k: int) -> DiffOperator:
-    """Annihilator of the EGF of relaxed trees of right height <= k (k >= 1).
-
-    A_0 = (1-z), A_1 = (1-2z)D - 1, A_k = A_{k-1} D - A_{k-2} D^2 z.
-    A_0 is the recursion base only: it does not annihilate the k=0 series
-    (n! left combs), which B_0 does.
-    """
-    return extend_family(_RELAXED, k, _relaxed_operator_step)
-
-
-def compacted_operator(k: int) -> DiffOperator:
-    """Annihilator of the EGF of compacted trees of right height <= k (k >= 0).
-
-    B_0 = (1-z)D - 1, B_1 = (1-2z)D^2 - (3-z)D,
-    B_k = B_{k-1} D - B_{k-2} (D^2 z - z D).
-    """
-    return extend_family(_COMPACTED, k, _compacted_operator_step)
 
 
 # Largest k built.  Build time and `operator` text grow about as k^3:

@@ -1,4 +1,4 @@
-"""Dense univariate polynomials over the integers, plus Chebyshev families.
+"""Dense univariate polynomials over the integers, and families built bottom-up.
 
 A polynomial is a tuple of big-int coefficients in ascending degree with no
 trailing zeros; the zero polynomial is the empty tuple.  This is all exact
@@ -161,34 +161,6 @@ def extend_family(base: tuple, k: int, step):
     if k < 0:
         raise ValueError("k must be >= 0")
     return next(islice(iter_family(base, step), k, None))
-
-
-def _chebyshev_step(p1: IntPoly, p2: IntPoly, _n: int) -> IntPoly:
-    return 2 * Z * p1 - p2
-
-
-def chebyshev_t(n: int) -> IntPoly:
-    """Chebyshev polynomial of the first kind, T_n."""
-    return extend_family((ONE, Z), n, _chebyshev_step)
-
-
-def chebyshev_u(n: int) -> IntPoly:
-    """Chebyshev polynomial of the second kind, U_n."""
-    return extend_family((ONE, 2 * Z), n, _chebyshev_step)
-
-
-def quarter_square_transform(p: IntPoly, m: int) -> IntPoly:
-    """Return (2x)**m * p(1 / (4x**2)) as a polynomial in x.
-
-    Requires m >= 2*deg(p); each coefficient c_j of p contributes
-    c_j * 2**(m-2j) * x**(m-2j).
-    """
-    if m < 2 * p.degree:
-        raise ValueError(f"need m >= 2*deg(p), got m={m}, deg={p.degree}")
-    out = [0] * (m + 1)
-    for j, c in enumerate(p.coeffs):
-        out[m - 2 * j] = c * (1 << (m - 2 * j))
-    return IntPoly(*out)
 
 
 def binomial_alternating_poly(k: int) -> IntPoly:

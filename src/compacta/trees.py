@@ -36,21 +36,71 @@ class ParseError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class BinaryTree:
     """Full binary tree: a node has either no children (leaf) or two.
 
     ``label`` is optional and only used by the compaction use case; the
-    enumeration machinery works on unlabeled trees.
+    enumeration machinery works on unlabeled trees.  Instances are
+    immutable.  ``==``, ``hash`` and ``repr`` use explicit stacks, so they
+    work at any depth; the hash is cached per node and ``==`` skips a pair
+    of nodes it has already compared, so subtrees shared by reference (as
+    ``unfold`` builds them) are walked once.
     """
 
-    left: "BinaryTree | None" = None
-    right: "BinaryTree | None" = None
-    label: str | None = None
+    __slots__ = ("left", "right", "label", "_hash")
 
-    def __post_init__(self):
-        if (self.left is None) != (self.right is None):
+    def __init__(self, left: "BinaryTree | None" = None,
+                 right: "BinaryTree | None" = None, label: str | None = None):
+        if (left is None) != (right is None):
             raise ValueError("a node has either 0 or 2 children")
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "label", label)
+        _set(self, "_hash", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a BinaryTree")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a BinaryTree")
+
+    def __eq__(self, other):
+        if not isinstance(other, BinaryTree):
+            return NotImplemented
+        seen = set()
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            seen.add((id(a), id(b)))
+            if a.label != b.label or (a.left is None) != (b.left is None):
+                return False
+            if a._hash is not None and b._hash is not None and a._hash != b._hash:
+                return False
+            if a.left is not None:
+                stack.append((a.right, b.right))
+                stack.append((a.left, b.left))
+        return True
+
+    def __hash__(self):
+        stack = [self]
+        while stack:
+            t = stack[-1]
+            if t._hash is not None:
+                stack.pop()
+            elif t.left is None:
+                _set(t, "_hash", hash((None, None, t.label)))
+                stack.pop()
+            elif t.left._hash is None or t.right._hash is None:
+                stack += (t.right, t.left)
+            else:
+                _set(t, "_hash", hash((t.left._hash, t.right._hash, t.label)))
+                stack.pop()
+        return self._hash
+
+    def __repr__(self):
+        return f"parse_tree({_print(self, _parts)!r})"
 
     @property
     def is_leaf(self) -> bool:
@@ -70,6 +120,7 @@ class BinaryTree:
         return total
 
 
+_set = object.__setattr__
 LEAF = BinaryTree()
 
 
@@ -171,6 +222,12 @@ def _tree_parts(t: BinaryTree):
         or (t.left is not None and label.startswith("@"))
     ):
         raise ValueError(f"label {label!r} would not read back as itself")
+    return _parts(t)
+
+
+def _parts(t: BinaryTree):
+    # _tree_parts without the label check, for repr
+    label = t.label
     if t.left is None:
         return label if label is not None else "."
     return ("(" if label is None else f"({label} ", t.left, t.right)
@@ -208,23 +265,6 @@ def spine_size(spine: SpineTree | None) -> int:
         if node.right is not None:
             stack.append(node.right)
     return total
-
-
-def right_height(spine: SpineTree | None) -> int:
-    """Maximum number of right spine edges on any root-to-node path."""
-    if spine is None:
-        return 0
-    best = 0
-    stack = [(spine, 0)]
-    while stack:
-        node, level = stack.pop()
-        if level > best:
-            best = level
-        if node.left is not None:
-            stack.append((node.left, level))
-        if node.right is not None:
-            stack.append((node.right, level + 1))
-    return best
 
 
 @dataclass(frozen=True)
@@ -276,11 +316,6 @@ def _walk(spine: SpineTree | None):
         done += 1
         indices.append(done)
         yield done, node, left, right
-
-
-def postorder_nodes(spine: SpineTree | None) -> list[SpineTree]:
-    """Spine nodes in completion order; node at list position i has index i+1."""
-    return [node for _, node, _, _ in _walk(spine)]
 
 
 def _slots(spine: SpineTree | None) -> list[tuple[int, str, int]]:

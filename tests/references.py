@@ -9,10 +9,85 @@ from decimal import localcontext
 
 from mpmath import mp, mpf
 
+from compacta import operators
 from compacta.asympt import WORK_PREC, scaled_ratio_log, singularity_data
-from compacta.dfinite import EXACT, IntegralityError, iter_sequence
+from compacta.dfinite import EXACT, IntegralityError, iter_counts, seed
 from compacta.operators import DiffOperator
-from compacta.poly import ONE, IntPoly, chebyshev_t, chebyshev_u
+from compacta.poly import ONE, Z, IntPoly, extend_family
+from compacta.trees import SpineTree
+
+
+def postorder_nodes(spine: SpineTree | None) -> list[SpineTree]:
+    """Spine nodes in completion order; node at list position i has index i+1.
+
+    The reverse of a root, right, left pre-order, independent of the
+    package's own post-order walk.
+    """
+    out, stack = [], [spine] if spine is not None else []
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        if node.left is not None:
+            stack.append(node.left)
+        if node.right is not None:
+            stack.append(node.right)
+    return out[::-1]
+
+
+def right_height(spine: SpineTree | None) -> int:
+    """Maximum number of right spine edges on any root-to-node path."""
+    if spine is None:
+        return 0
+    best = 0
+    stack = [(spine, 0)]
+    while stack:
+        node, level = stack.pop()
+        if level > best:
+            best = level
+        if node.left is not None:
+            stack.append((node.left, level))
+        if node.right is not None:
+            stack.append((node.right, level + 1))
+    return best
+
+
+def _chebyshev_step(p1: IntPoly, p2: IntPoly, _n: int) -> IntPoly:
+    return 2 * Z * p1 - p2
+
+
+def chebyshev_t(n: int) -> IntPoly:
+    """Chebyshev polynomial of the first kind, T_n."""
+    return extend_family((ONE, Z), n, _chebyshev_step)
+
+
+def chebyshev_u(n: int) -> IntPoly:
+    """Chebyshev polynomial of the second kind, U_n."""
+    return extend_family((ONE, 2 * Z), n, _chebyshev_step)
+
+
+def quarter_square_transform(p: IntPoly, m: int) -> IntPoly:
+    """Return (2x)**m * p(1 / (4x**2)) as a polynomial in x.
+
+    Requires m >= 2*deg(p); each coefficient c_j of p contributes
+    c_j * 2**(m-2j) * x**(m-2j).
+    """
+    if m < 2 * p.degree:
+        raise ValueError(f"need m >= 2*deg(p), got m={m}, deg={p.degree}")
+    out = [0] * (m + 1)
+    for j, c in enumerate(p.coeffs):
+        out[m - 2 * j] = c * (1 << (m - 2 * j))
+    return IntPoly(*out)
+
+
+def relaxed_operator(k: int) -> DiffOperator:
+    """The relaxed operator of right height <= k by its defining composition
+    (operators' family comment), not by the coefficient recurrences."""
+    return extend_family(operators._RELAXED, k, operators._relaxed_operator_step)
+
+
+def compacted_operator(k: int) -> DiffOperator:
+    """The compacted operator of right height <= k by its defining composition."""
+    return extend_family(operators._COMPACTED, k, operators._compacted_operator_step)
 
 
 def apply_operator(op: DiffOperator, series, terms: int):
@@ -209,7 +284,7 @@ def exponent_regression(k: int, family: str, n_lo: int = 500, n_hi: int = 2000,
     data = singularity_data(k, family)
     xs, ys = [], []
     with mp.workprec(WORK_PREC):
-        for n, count in iter_sequence(k, family):
+        for n, count in iter_counts(seed(k, family)):
             if n >= n_lo and (n - n_lo) % step == 0:
                 xs.append(float(mp.log(n)))
                 ys.append(float(scaled_ratio_log(count, n, data.growth, 0)))

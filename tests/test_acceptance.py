@@ -24,23 +24,24 @@ from compacta.compaction import (
     unfold,
 )
 from compacta.dfinite import closed_form_oracle, sequence_values
-from compacta.exhaustive import (
-    GenFilter,
-    brute_count,
-    count_relaxed_spine_product,
-    gen_relaxed,
-)
-from compacta.operators import DiffOperator, compacted_operator, relaxed_operator
+from compacta.exhaustive import brute_count, count_relaxed_spine_product, generate
+from compacta.operators import DiffOperator
 from compacta.poly import (
     IntPoly,
     binomial_alternating_poly as leading_coefficient_closed_form,
-    chebyshev_u,
     iter_family,
-    quarter_square_transform,
 )
 from compacta.recurrences import build_table
-from compacta.trees import parse_tree, postorder_nodes, print_tree
-from references import equal_up_to_scalar, subleading_compacted_transform_reference
+from compacta.trees import parse_tree, print_tree
+from references import (
+    chebyshev_u,
+    compacted_operator,
+    equal_up_to_scalar,
+    postorder_nodes,
+    quarter_square_transform,
+    relaxed_operator,
+    subleading_compacted_transform_reference,
+)
 
 COMPACTED_COUNTS = [1, 1, 3, 15, 111, 1119, 14487, 230943, 4395855, 97608831]
 RELAXED_COUNTS = [1, 1, 3, 16, 127, 1363, 18628, 311250, 6173791, 142190703]
@@ -194,7 +195,7 @@ def _random_tree(rng, size):
 
 
 def test_criterion_10_structural_properties():
-    failing = [d for d in gen_relaxed(GenFilter(3)) if not is_compacted(d)]
+    failing = [d for d in generate(3, "relaxed") if not is_compacted(d)]
     assert len(failing) == 1
     dup = first_duplicate(failing[0])
     assert dup is not None and is_cherry(failing[0], dup)

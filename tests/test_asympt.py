@@ -182,6 +182,16 @@ def test_fit_reports_convergence():
     assert fit_constant(singularity_data(1, "compacted"), 3000).converged is True
 
 
+def test_fit_needs_two_ladder_points():
+    # one point would be its own estimate, with nothing to compare it to
+    data = singularity_data(3, "compacted")
+    with pytest.raises(ValueError, match=r"^n_max must be >= 2, got 1$"):
+        fit_constant(data, 1)
+    fit = fit_constant(data, 2)
+    assert [n for n, _ in fit.ladder] == [1, 2]
+    assert len(fit.extrapolants) == 2
+
+
 @pytest.mark.parametrize("k, family", [(1, "compacted"), (2, "relaxed")])
 def test_fit_uses_the_data_it_is_given(k, family):
     data = singularity_data(k, family)

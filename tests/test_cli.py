@@ -1,4 +1,5 @@
 import decimal
+import hashlib
 from fractions import Fraction
 from math import factorial
 from types import SimpleNamespace
@@ -192,6 +193,84 @@ def test_enumerate_count_only(capsys):
     assert out_lines(capsys) == ["111"]
 
 
+# sha256 of `enumerate` stdout for n <= 5 at every bound (none and 0..n)
+# and for n = 6 unbounded: any change to the DAG form or to generation
+# order must keep every listing byte for byte
+ENUMERATE_SHA256 = {
+    ("relaxed", 0, None): "08baed89da07fa1f89e81cfccf319e958accb4885a82285ad9f8fd681474e34b",
+    ("relaxed", 0, 0): "08baed89da07fa1f89e81cfccf319e958accb4885a82285ad9f8fd681474e34b",
+    ("relaxed", 1, None): "db8da6ec6665c17abcaafb26d28d47c9bef206e518717db57d6ccf174c9e2276",
+    ("relaxed", 1, 0): "db8da6ec6665c17abcaafb26d28d47c9bef206e518717db57d6ccf174c9e2276",
+    ("relaxed", 1, 1): "db8da6ec6665c17abcaafb26d28d47c9bef206e518717db57d6ccf174c9e2276",
+    ("relaxed", 2, None): "fbd6ef8eba9353087f89324423bb8d9d0b1643453875105b51cee4f5e79c8399",
+    ("relaxed", 2, 0): "f781f56228dce78a0706bbf99e31fc31bafda57dfe0bee54ff36e9cc633545e4",
+    ("relaxed", 2, 1): "fbd6ef8eba9353087f89324423bb8d9d0b1643453875105b51cee4f5e79c8399",
+    ("relaxed", 2, 2): "fbd6ef8eba9353087f89324423bb8d9d0b1643453875105b51cee4f5e79c8399",
+    ("relaxed", 3, None): "fab52dc126aec3fe000e99e016ecd9d69c8d575a9cf38d03c4a1799dc1a9401b",
+    ("relaxed", 3, 0): "7c0ef03368bb2611de680a1e588f599e78b47537f5952fa1617282b4e5936af3",
+    ("relaxed", 3, 1): "b7ab9b6f78427058c6fa7d72a77beb75945c60619910d96716092fcb7413ba42",
+    ("relaxed", 3, 2): "fab52dc126aec3fe000e99e016ecd9d69c8d575a9cf38d03c4a1799dc1a9401b",
+    ("relaxed", 3, 3): "fab52dc126aec3fe000e99e016ecd9d69c8d575a9cf38d03c4a1799dc1a9401b",
+    ("relaxed", 4, None): "a28c39dc94512881b7f16daec5c4da40ab57a273fcf4ac7071a3a3a3fd04876e",
+    ("relaxed", 4, 0): "af1cd2c0c314f51211f285534f6356789a9391fc1e5bb6e2fa422353de884bf4",
+    ("relaxed", 4, 1): "336dbd54a0843e22e08e176ae18e91e1da40bed7d9b69a901f6826cd92903dff",
+    ("relaxed", 4, 2): "fc49e34e96205699bec035c327b9c83ea169737adf24a810a001cc4c34c9c138",
+    ("relaxed", 4, 3): "a28c39dc94512881b7f16daec5c4da40ab57a273fcf4ac7071a3a3a3fd04876e",
+    ("relaxed", 4, 4): "a28c39dc94512881b7f16daec5c4da40ab57a273fcf4ac7071a3a3a3fd04876e",
+    ("relaxed", 5, None): "63fbc904163d0c297810bc432ea0d646ca3e0c1e54c82234e13507d4639f6889",
+    ("relaxed", 5, 0): "507e0affb7455786329a011e46e0521eedc340db74a51e4ff3caa5e7bf1b08ea",
+    ("relaxed", 5, 1): "746e1a8f5cb1e1ebf205e76e353b8115f41e863e0bd3292098058b552223d296",
+    ("relaxed", 5, 2): "5d43dd1592f8f8a348ec86fa8aeab49be184786d9da622580b7c5020ad829703",
+    ("relaxed", 5, 3): "ac8653205d0d8650dd1d5921215eb5c823d4c1ce65400777181993019729b300",
+    ("relaxed", 5, 4): "63fbc904163d0c297810bc432ea0d646ca3e0c1e54c82234e13507d4639f6889",
+    ("relaxed", 5, 5): "63fbc904163d0c297810bc432ea0d646ca3e0c1e54c82234e13507d4639f6889",
+    ("relaxed", 6, None): "3fc407a881cb0deaa5edd3c783be9139623beb30738289eb3fe4afa1c8413417",
+    ("compacted", 0, None): "08baed89da07fa1f89e81cfccf319e958accb4885a82285ad9f8fd681474e34b",
+    ("compacted", 0, 0): "08baed89da07fa1f89e81cfccf319e958accb4885a82285ad9f8fd681474e34b",
+    ("compacted", 1, None): "db8da6ec6665c17abcaafb26d28d47c9bef206e518717db57d6ccf174c9e2276",
+    ("compacted", 1, 0): "db8da6ec6665c17abcaafb26d28d47c9bef206e518717db57d6ccf174c9e2276",
+    ("compacted", 1, 1): "db8da6ec6665c17abcaafb26d28d47c9bef206e518717db57d6ccf174c9e2276",
+    ("compacted", 2, None): "fbd6ef8eba9353087f89324423bb8d9d0b1643453875105b51cee4f5e79c8399",
+    ("compacted", 2, 0): "f781f56228dce78a0706bbf99e31fc31bafda57dfe0bee54ff36e9cc633545e4",
+    ("compacted", 2, 1): "fbd6ef8eba9353087f89324423bb8d9d0b1643453875105b51cee4f5e79c8399",
+    ("compacted", 2, 2): "fbd6ef8eba9353087f89324423bb8d9d0b1643453875105b51cee4f5e79c8399",
+    ("compacted", 3, None): "2653bbd838dc99910ec3a74c2c94e0729735b259743238984350c180473099b4",
+    ("compacted", 3, 0): "7c0ef03368bb2611de680a1e588f599e78b47537f5952fa1617282b4e5936af3",
+    ("compacted", 3, 1): "f78043e876024c810714c7e14378e6f576a7630954505665bfeeb5c431d670fc",
+    ("compacted", 3, 2): "2653bbd838dc99910ec3a74c2c94e0729735b259743238984350c180473099b4",
+    ("compacted", 3, 3): "2653bbd838dc99910ec3a74c2c94e0729735b259743238984350c180473099b4",
+    ("compacted", 4, None): "cfce39fadfbd2957d7b666eb6a58fc56643fd22c71d8ec9bd6bf977e0108e3a3",
+    ("compacted", 4, 0): "af1cd2c0c314f51211f285534f6356789a9391fc1e5bb6e2fa422353de884bf4",
+    ("compacted", 4, 1): "19d3e0908188f13f5fc3d8bfa6a36ff3fa2a7b57fa748d9fe2f3a27c6ca2fb19",
+    ("compacted", 4, 2): "8c669f66282096419258126a44e564d7740fdc632f2cdd3c52eab23c8c5b4252",
+    ("compacted", 4, 3): "cfce39fadfbd2957d7b666eb6a58fc56643fd22c71d8ec9bd6bf977e0108e3a3",
+    ("compacted", 4, 4): "cfce39fadfbd2957d7b666eb6a58fc56643fd22c71d8ec9bd6bf977e0108e3a3",
+    ("compacted", 5, None): "f053f8e3c5169ae8095a38ac404d6e5fbb1db144d47749af702d52a0313324cc",
+    ("compacted", 5, 0): "507e0affb7455786329a011e46e0521eedc340db74a51e4ff3caa5e7bf1b08ea",
+    ("compacted", 5, 1): "db834e552fc407a4c6fe7ec9c301d06cf5e0643ae73293fba663ad84d296ec7c",
+    ("compacted", 5, 2): "d1ad085aa03c794757f3bd4a2cede099962c9a992f6e77aa23b75b1fa120f21f",
+    ("compacted", 5, 3): "593ecc3dc83e8afdf59c21ca165bb31cbe2db0a2119a447e437634c1bc6e2596",
+    ("compacted", 5, 4): "f053f8e3c5169ae8095a38ac404d6e5fbb1db144d47749af702d52a0313324cc",
+    ("compacted", 5, 5): "f053f8e3c5169ae8095a38ac404d6e5fbb1db144d47749af702d52a0313324cc",
+    ("compacted", 6, None): "684d1fd33cf0c2dda22b99f6836e591b7c2e839cb7bb83211f45725701594ac1",
+}
+
+
+@pytest.mark.parametrize("kind", ["relaxed", "compacted"])
+def test_enumerate_listings_are_pinned(kind, capsys):
+    changed = []
+    for (k, n, bound), digest in ENUMERATE_SHA256.items():
+        if k != kind:
+            continue
+        argv = ["enumerate", "--kind", kind, "--n", str(n)]
+        if bound is not None:
+            argv += ["--max-right-height", str(bound)]
+        assert run(argv) == 0
+        if hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() != digest:
+            changed.append((n, bound))
+    assert changed == []
+
+
 def test_enumerate_lines_parse_back(capsys):
     assert run(["enumerate", "--n", "3"]) == 0
     lines = out_lines(capsys)
@@ -248,6 +327,19 @@ def test_relaxed_count_only_over_the_budget_fails_at_once(bound, capsys):
         "", f"error: enumeration would produce {estimate} objects, budget is 1000\n")
     assert run(argv) == 1  # over the default budget of 10^8 too
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("kind", ["relaxed", "compacted"])
+@pytest.mark.parametrize("mode", [[], ["--count-only"]], ids=["listing", "count-only"])
+@pytest.mark.parametrize("flags, message", [
+    (["--n", "-1"], "n must be >= 0"),
+    (["--n", "3", "--max-right-height", "-2"], "right-height bound must be >= 0"),
+    (["--n", "-1", "--max-right-height", "-2"], "n must be >= 0"),
+])
+def test_enumerate_rejects_a_negative_size_or_bound(kind, mode, flags, message, capsys):
+    assert run(["enumerate", "--kind", kind, *flags, *mode]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 def test_compact_command(tmp_path, capsys):
@@ -412,13 +504,14 @@ def test_negative_k_never_reaches_the_word_counts(argv, monkeypatch, capsys):
     assert calls == []
 
 
-@pytest.mark.parametrize("upto", ["0", "-3"])
+@pytest.mark.parametrize("upto", ["1", "0", "-3"])
 def test_fit_with_a_bad_upto_prints_nothing(upto, capsys):
+    # a one-point ladder has nothing to extrapolate or to compare
     argv = ["asymptotics", "--family", "relaxed", "--k", "1", "--fit", "--upto", upto]
     assert run(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: n_max must be >= 1, got {upto}\n"
+    assert captured.err == f"error: n_max must be >= 2, got {upto}\n"
 
 
 def test_usage_error_exit_code():

@@ -8,7 +8,7 @@ from compacta.compaction import (
     uid_compact,
     unfold,
 )
-from compacta.exhaustive import GenFilter, gen_compacted, gen_relaxed, gen_spines
+from compacta.exhaustive import gen_spines, generate
 from compacta.trees import (
     ParseError,
     RelaxedDag,
@@ -17,12 +17,12 @@ from compacta.trees import (
     dag_from_text,
     dag_to_text,
     parse_tree,
-    postorder_nodes,
     print_tree,
     slot_sequence,
     spine_size,
     validate,
 )
+from references import postorder_nodes
 
 
 def is_cherry(dag, index):
@@ -136,27 +136,27 @@ def test_uid_compact_output_is_compacted():
 
 
 def test_smallest_non_compacted_is_unique_at_size_three():
-    failing = [d for d in gen_relaxed(GenFilter(3)) if not is_compacted(d)]
+    failing = [d for d in generate(3, "relaxed") if not is_compacted(d)]
     assert len(failing) == 1
     dup = first_duplicate(failing[0])
     assert dup is not None and is_cherry(failing[0], dup)
     # sizes 0..2 have no failing dag at all
     for n in range(3):
-        assert all(is_compacted(d) for d in gen_relaxed(GenFilter(n)))
+        assert all(is_compacted(d) for d in generate(n, "relaxed"))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_duplicates_always_at_cherries(n):
-    for dag in gen_relaxed(GenFilter(n)):
+    for dag in generate(n, "relaxed"):
         dup = first_duplicate(dag)
         if dup is not None:
             assert is_cherry(dag, dup)
 
 
 def test_compacted_counts_small():
-    assert sum(1 for _ in gen_compacted(GenFilter(2))) == 3
-    assert sum(1 for _ in gen_compacted(GenFilter(4))) == 111
-    assert sum(1 for _ in gen_compacted(GenFilter(5))) == 1119
+    assert sum(1 for _ in generate(2, "compacted")) == 3
+    assert sum(1 for _ in generate(4, "compacted")) == 111
+    assert sum(1 for _ in generate(5, "compacted")) == 1119
 
 
 def _labeled_tree_text(rng, size):

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import pytest
@@ -5,12 +6,10 @@ import pytest
 from compacta.dfinite import sequence_values
 from compacta.exhaustive import (
     BudgetExceededError,
-    GenFilter,
     brute_count,
     count_relaxed_spine_product,
-    gen_compacted,
-    gen_relaxed,
     gen_spines,
+    generate,
     spine_assignment_count,
     spine_count,
 )
@@ -19,10 +18,10 @@ from compacta.trees import (
     RelaxedDag,
     SpineTree,
     dag_to_text,
-    right_height,
     slot_sequence,
     validate,
 )
+from references import right_height
 
 
 def catalan(n):
@@ -87,14 +86,14 @@ def test_bounded_spines():
 
 
 def test_relaxed_generation_counts():
-    assert sum(1 for _ in gen_relaxed(GenFilter(3))) == 16
-    assert sum(1 for _ in gen_relaxed(GenFilter(4))) == 127
-    assert sum(1 for _ in gen_relaxed(GenFilter(4, 2))) == 126
+    assert sum(1 for _ in generate(3, "relaxed")) == 16
+    assert sum(1 for _ in generate(4, "relaxed")) == 127
+    assert sum(1 for _ in generate(4, "relaxed", 2)) == 126
 
 
 def test_relaxed_generation_no_duplicates_and_valid():
     seen = set()
-    for dag in gen_relaxed(GenFilter(4)):
+    for dag in generate(4, "relaxed"):
         assert validate(dag) is None
         seen.add(dag_to_text(dag))
     assert len(seen) == 127
@@ -126,9 +125,9 @@ def test_bounded_counts_monotone_in_k():
 def test_budget_guard():
     # checked when called, not at the first next(), so a caller can fail
     # before it opens an output
-    for gen in (gen_relaxed, gen_compacted):
+    for kind in ("relaxed", "compacted"):
         with pytest.raises(BudgetExceededError) as err:
-            gen(GenFilter(8), budget=1000)
+            generate(8, kind, budget=1000)
         assert err.value.estimate == 6173791
 
 
@@ -154,8 +153,28 @@ def test_brute_force_equals_the_exact_counts_at_size_seven():
             list(sequence_values(k, "compacted", 7))[7]
 
 
-def test_genfilter_validation():
-    with pytest.raises(ValueError):
-        GenFilter(-1)
-    with pytest.raises(ValueError):
-        GenFilter(2, kind="weird")
+def test_generate_checks_its_arguments():
+    # checked when called, before any budget check or object
+    cases = [((-1, "relaxed"), "n must be >= 0"),
+             ((2, "weird"), "kind must be 'relaxed' or 'compacted', got 'weird'"),
+             ((2, "compacted", -2), "right-height bound must be >= 0"),
+             ((-1, "compacted", -2), "n must be >= 0")]
+    for args, message in cases:
+        with pytest.raises(ValueError) as err:
+            generate(*args, budget=0)
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            brute_count(*args, budget=0)
+        assert str(err.value) == message
+    # the spine product shares the check
+    for args, message in [((-1,), "n must be >= 0"),
+                          ((3, -2), "right-height bound must be >= 0")]:
+        with pytest.raises(ValueError) as err:
+            count_relaxed_spine_product(*args, budget=0)
+        assert str(err.value) == message
+
+
+def test_generate_is_one_lazy_generator():
+    # perfbench's tracer times the items of a generator only
+    assert inspect.isgenerator(generate(3, "relaxed"))
+    assert inspect.isgenerator(generate(3, "compacted", 1))

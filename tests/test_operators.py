@@ -13,25 +13,25 @@ from compacta.operators import (
     DiffOperator,
     build_operator,
     coeff_recurrences_check,
-    compacted_operator,
     format_operator,
     op_compose,
-    relaxed_operator,
 )
 from compacta.poly import (
     IntPoly,
     binomial_alternating_poly as leading_coefficient_closed_form,
-    chebyshev_t,
-    chebyshev_u,
     format_poly,
     iter_family,
-    quarter_square_transform,
 )
 from references import (
     apply_operator,
+    chebyshev_t,
+    chebyshev_u,
+    compacted_operator,
     compose_shift,
     equal_up_to_scalar,
+    quarter_square_transform,
     reduce_order,
+    relaxed_operator,
     subleading_compacted_transform_reference,
 )
 

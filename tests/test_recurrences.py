@@ -3,7 +3,7 @@ import math
 import pytest
 
 from compacta.dfinite import sequence_values
-from compacta.exhaustive import GenFilter, brute_count, count_relaxed_spine_product
+from compacta.exhaustive import brute_count, count_relaxed_spine_product, generate
 from compacta.recurrences import build_table, word_counts
 from references import dense_level_counts, letter_word_counts, level_matrix
 
@@ -149,7 +149,7 @@ def test_level_recurrence_equals_dense_products(kind):
 @pytest.mark.parametrize("bound", [-1, -2, -3])
 def test_word_counts_rejects_a_negative_bound(bound):
     with pytest.raises(ValueError) as filter_error:
-        GenFilter(5, bound, "compacted")
+        generate(5, "compacted", bound)
     for kind in ("compacted", "relaxed"):
         for n in (0, 5):
             with pytest.raises(ValueError) as word_error:

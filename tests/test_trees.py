@@ -14,13 +14,12 @@ from compacta.trees import (
     dag_from_text,
     dag_to_text,
     parse_tree,
-    postorder_nodes,
     print_tree,
-    right_height,
     slot_sequence,
     spine_size,
     validate,
 )
+from references import postorder_nodes, right_height
 
 
 def test_parse_smallest():
@@ -159,9 +158,9 @@ def test_slot_pools_left_chain():
 
 
 def test_validate_generator_output_ok():
-    from compacta.exhaustive import GenFilter, gen_relaxed
+    from compacta.exhaustive import generate
 
-    for dag in gen_relaxed(GenFilter(4)):
+    for dag in generate(4, "relaxed"):
         assert validate(dag) is None
 
 
@@ -252,3 +251,47 @@ def test_deep_text_round_trips(leg, left):
     assert dag.n == len(table.rows) == depth
     dag_text = dag_to_text(dag)
     assert dag_to_text(dag_from_text(dag_text)) == dag_text
+
+
+def test_deep_trees_compare_hash_and_print():
+    # two separately parsed combs share no node, so == walks both in full
+    depth = 10**5
+    text = "(" * depth + "." + " .)" * depth
+    a, b = parse_tree(text), parse_tree(text)
+    assert a is not b and a.left is not b.left
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert repr(a) == f"parse_tree({text!r})"
+    relabeled = parse_tree("(" * depth + "." + " .)" * (depth - 1) + " x)")
+    reshaped = parse_tree("(" * depth + "." + " (. .))" + " .)" * (depth - 1))
+    assert a != relabeled and a != reshaped
+    assert hash(a) != hash(relabeled)  # cached hashes, compared first
+
+
+def test_trees_differing_in_one_label_or_shape_are_unequal():
+    t = parse_tree("(+ x (* y y))")
+    assert t == parse_tree("(+ x (* y y))")
+    assert hash(t) == hash(parse_tree("(+ x (* y y))"))
+    for other in ["(+ x (* y z))", "(- x (* y y))", "(+ x (* (. .) y))", "(+ x (* y (. .)))",
+                  "(+ (* y y) x)"]:
+        assert t != parse_tree(other), other
+    assert LEAF != BinaryTree(label="x") and BinaryTree(LEAF, LEAF) != LEAF
+    assert t != print_tree(t)
+
+
+def test_shared_subtrees_are_walked_once():
+    # 200 levels of t -> (t t): 2^200 leaves as a tree, 201 distinct nodes
+    a = b = LEAF
+    for _ in range(200):
+        a, b = BinaryTree(a, a), BinaryTree(b, b)
+    assert a == b and hash(a) == hash(b)
+    assert a != BinaryTree(a.left, BinaryTree(b.left.left, LEAF))
+
+
+def test_binary_tree_is_immutable():
+    t = parse_tree("(a x .)")
+    with pytest.raises(AttributeError):
+        t.left = LEAF
+    with pytest.raises(AttributeError):
+        del t.label
+    assert t.label == "a" and t.left == BinaryTree(label="x")
