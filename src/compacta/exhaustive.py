@@ -22,8 +22,8 @@ from math import comb
 from typing import Iterable, Iterator
 
 from .compaction import is_compacted
-from .recurrences import word_counts
-from .trees import RelaxedDag, SpineTree, slot_sequence
+from .recurrences import check_bound, word_counts
+from .trees import RelaxedDag, SpineTree, slots
 
 DEFAULT_BUDGET = 10**8
 
@@ -50,8 +50,7 @@ def _check_args(n: int, kind: str, max_right_height: int | None) -> None:
     """Raise ValueError for a negative size or bound, or an unknown kind."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if max_right_height is not None and max_right_height < 0:
-        raise ValueError("right-height bound must be >= 0")
+    check_bound(max_right_height)
     if kind not in ("relaxed", "compacted"):
         raise ValueError(f"kind must be 'relaxed' or 'compacted', got {kind!r}")
 
@@ -64,6 +63,7 @@ def gen_spines(n: int, max_right_height: int | None = None) -> Iterator[SpineTre
     call and kept while the generator lives, so spines share subtrees, also
     within one spine: a node's identity does not tell its position.
     """
+    check_bound(max_right_height)
     built: dict[tuple[int, int | None], list[SpineTree | None]] = {}
 
     def spines(size: int, bound: int | None) -> Iterable[SpineTree | None]:
@@ -119,6 +119,7 @@ def spine_assignment_count(spine: SpineTree | None) -> int:
 def spine_count(n: int, max_right_height: int | None = None) -> int:
     """How many spines gen_spines yields: Catalan(n), or under a bound the
     DP of its split (the right subtree one bound lower, none below 0)."""
+    check_bound(max_right_height)
     if max_right_height is None or max_right_height >= n:
         return comb(2 * n, n) // (n + 1)
     below = [1] + [0] * n  # bound -1: the empty tree only
@@ -141,10 +142,9 @@ def count_relaxed_spine_product(n: int, max_right_height: int | None = None,
 
 def spine_assignments(spine: SpineTree | None) -> Iterator[RelaxedDag]:
     """All relaxed DAGs over a fixed spine, in mixed-radix target order."""
-    slots = slot_sequence(spine)
-    keys = [(s.owner, s.side) for s in slots[1:]]
-    ranges = [range(s.pool + 1) for s in slots[1:]]
-    # slots[0] is the leaf slot: its pool is 0, nothing to choose
+    free = slots(spine)[1:]  # the leaf slot's pool is 0: nothing to choose
+    keys = [(owner, side) for owner, side, _ in free]
+    ranges = [range(pool + 1) for _, _, pool in free]
     for targets in product(*ranges):
         yield RelaxedDag(spine, dict(zip(keys, targets)))
 

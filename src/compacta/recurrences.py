@@ -77,6 +77,11 @@ def _check(kind: str, nmax: int) -> None:
         raise ValueError("nmax must be >= 0")
 
 
+def check_bound(max_right_height: int | None) -> None:
+    if max_right_height is not None and max_right_height < 0:
+        raise ValueError("right-height bound must be >= 0")
+
+
 def build_table(kind: str, nmax: int) -> CountTable:
     _check(kind, nmax)
     rows: list[list[int]] = [[p + 1 for p in range(nmax + 1)]]
@@ -102,8 +107,7 @@ def word_counts(kind: str, nmax: int, max_right_height: int | None = None) -> li
     """Counts of {kind} trees of size n = 0..nmax (right height <= the bound,
     if given) by the level recurrence: O(nmax^2) big-int steps."""
     _check(kind, nmax)
-    if max_right_height is not None and max_right_height < 0:
-        raise ValueError("right-height bound must be >= 0")
+    check_bound(max_right_height)
     top = nmax if max_right_height is None else max_right_height + 1
     counts = [1] * min(nmax + 1, 2)
     x = [1] * min(top, nmax)  # X(1)

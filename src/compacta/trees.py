@@ -8,18 +8,20 @@ leaf.  The first slot visited by the traversal is always the leaf slot; it
 is not part of the pointer map.  A pointer at a slot may target 0 or any
 spine node that completed strictly before the slot is visited, which is
 exactly the acyclicity discipline a post-order hash-consing pass produces.
+`slots(spine)` lists every slot as (owner, side, pool) in visit order; the
+legal targets are 0..pool, and a pointer's key is (owner, side).
 
 Text forms:
   tree      "."  |  "(tree tree)"  |  atom  |  "(atom tree tree)"
-  dag       "@0" for size 0, otherwise the spine with every non-spine slot
-            written "@i" (the leaf slot prints as "@0" too): "(@0 @0)" is
-            the size-1 dag.
+  dag       the spine with every non-spine slot written "@i" in visit order,
+            i in ASCII digits without a leading zero; the leaf slot reads
+            "@0", so "@0" is the size-0 dag and "(@0 @0)" the size-1 dag.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 
@@ -126,6 +128,7 @@ LEAF = BinaryTree()
 
 _ATOM = re.compile(r"[^\s()]+")
 _TOKEN = re.compile(r"[()]|[^\s()]+")  # parens, '.', '@k' and atoms
+_POINTER = re.compile(r"@(0|[1-9][0-9]*)")  # ASCII digits, no leading zero
 
 
 def _read(text: str, atom, node, labeled: bool):
@@ -267,22 +270,8 @@ def spine_size(spine: SpineTree | None) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class Slot:
-    """A non-spine child position, in post-order visit order.
-
-    ``owner`` is the post-order index of the node owning the slot, ``side``
-    is "left"/"right", and ``pool`` is the number of spine nodes already
-    completed when the slot is visited, so the legal targets are 0..pool.
-    """
-
-    owner: int
-    side: str
-    pool: int
-
-
 def _walk(spine: SpineTree | None):
-    """Yield (index, node, left, right) for each spine node as it completes.
+    """Yield (index, left, right) for each spine node as it completes.
 
     One post-order pass with an explicit stack.  A child is the index of a
     child node, or, for an empty position, the pair (order, pool): the
@@ -315,23 +304,20 @@ def _walk(spine: SpineTree | None):
             left = indices.pop()
         done += 1
         indices.append(done)
-        yield done, node, left, right
+        yield done, left, right
 
 
-def _slots(spine: SpineTree | None) -> list[tuple[int, str, int]]:
-    """(owner, side, pool) of every slot, in visit order."""
+def slots(spine: SpineTree | None) -> list[tuple[int, str, int]]:
+    """(owner, side, pool) of the n+1 slots of a size-n spine (none for the
+    empty spine), in visit order: the first is the leaf slot, and a slot's
+    legal targets are 0..pool."""
     by_order: dict[int, tuple[int, str, int]] = {}
-    for index, _, left, right in _walk(spine):
+    for index, left, right in _walk(spine):
         if type(left) is tuple:
             by_order[left[0]] = (index, "left", left[1])
         if type(right) is tuple:
             by_order[right[0]] = (index, "right", right[1])
     return [by_order[i] for i in range(len(by_order))]
-
-
-def slot_sequence(spine: SpineTree | None) -> list[Slot]:
-    """All n+1 non-spine slots in traversal order (the first is the leaf's)."""
-    return [Slot(*slot) for slot in _slots(spine)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,7 +330,7 @@ class RelaxedDag:
     """
 
     spine: SpineTree | None
-    pointers: dict[tuple[int, str], int] = field(default_factory=dict)
+    pointers: dict[tuple[int, str], int]
 
     @property
     def n(self) -> int:
@@ -353,7 +339,7 @@ class RelaxedDag:
 
 def validate(dag: RelaxedDag) -> str | None:
     """None when every invariant holds, else the first violation."""
-    return _violation(dag.pointers, _slots(dag.spine))
+    return _violation(dag.pointers, slots(dag.spine))
 
 
 def _violation(pointers: dict[tuple[int, str], int],
@@ -391,7 +377,7 @@ def _shape(spine: SpineTree | None) -> tuple:
     return tuple(
         (left if type(left) is int else (index, "left"),
          right if type(right) is int else (index, "right"))
-        for index, _, left, right in _walk(spine)
+        for index, left, right in _walk(spine)
     )
 
 
@@ -413,7 +399,7 @@ def dag_adjacency(dag: RelaxedDag) -> list[tuple[int, int]]:
 def dag_to_text(dag: RelaxedDag) -> str:
     if dag.spine is None:
         return "@0"
-    targets = iter([dag.pointers.get(slot[:2], 0) for slot in _slots(dag.spine)])
+    targets = iter([dag.pointers.get(slot[:2], 0) for slot in slots(dag.spine)])
 
     def split(node: SpineTree | None):
         return f"@{next(targets)}" if node is None else ("(", node.left, node.right)
@@ -423,29 +409,22 @@ def dag_to_text(dag: RelaxedDag) -> str:
 
 def dag_from_text(text: str) -> RelaxedDag:
     """Parse the "@i" dag form and validate the result."""
-    body = text.lstrip()
-    if body.rstrip() == "@0":
-        return RelaxedDag(None, {})
-    if body.startswith("@"):
-        raise ParseError("a bare pointer token is only valid as '@0'",
-                         len(text) - len(body))
     targets: list[int] = []  # '@i' tokens come in slot visit order
 
     def pointer(tok: str) -> None:
         if not tok.startswith("@"):
             raise ValueError("expected '(' or '@i'")
-        try:
-            targets.append(int(tok[1:]))
-        except ValueError:
-            raise ValueError(f"bad pointer token {tok!r}") from None
+        if not _POINTER.fullmatch(tok):
+            raise ValueError(f"bad pointer token {tok!r}")
+        if not targets and tok != "@0":
+            raise ValueError(f"leaf slot must read @0, got {tok}")
+        targets.append(int(tok[1:]))
 
     spine = _read(text, pointer, lambda left, right, _label: SpineTree(left, right),
                   labeled=False)
-    if targets[0] != 0:
-        raise ParseError(f"leaf slot must read @0, got @{targets[0]}", 0)
-    slots = _slots(spine)
-    pointers = {slot[:2]: target for slot, target in zip(slots[1:], targets[1:])}
-    problem = _violation(pointers, slots)
+    spine_slots = slots(spine)
+    pointers = {slot[:2]: target for slot, target in zip(spine_slots[1:], targets[1:])}
+    problem = _violation(pointers, spine_slots)
     if problem is not None:
         raise ParseError(f"invalid dag: {problem}", 0)
     return RelaxedDag(spine, pointers)

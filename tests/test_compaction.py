@@ -18,7 +18,7 @@ from compacta.trees import (
     dag_to_text,
     parse_tree,
     print_tree,
-    slot_sequence,
+    slots,
     spine_size,
     validate,
 )
@@ -200,14 +200,14 @@ def test_table_rows_are_the_distinct_subtrees_by_height_then_first_occurrence():
 
 
 def _reference_adjacency(dag):
-    """dag_adjacency rebuilt from postorder_nodes and slot_sequence alone.
+    """dag_adjacency rebuilt from postorder_nodes and slots alone.
 
     Generated spines share subtrees, so children are found by position: in
     post-order the right child of node i is i-1, and the left child comes
     just before the right subtree.
     """
-    targets = {(s.owner, s.side): dag.pointers.get((s.owner, s.side), 0)
-               for s in slot_sequence(dag.spine)}
+    targets = {(owner, side): dag.pointers.get((owner, side), 0)
+               for owner, side, _ in slots(dag.spine)}
     adjacency = []
     for i, node in enumerate(postorder_nodes(dag.spine), start=1):
         right = targets[(i, "right")] if node.right is None else i - 1
@@ -232,8 +232,8 @@ def test_cached_spine_shape_never_answers_for_another_spine():
     dags = []
     for _ in range(1000):
         spine = rng.choice(spines)
-        pointers = {(s.owner, s.side): rng.randint(0, s.pool)
-                    for s in slot_sequence(spine)[1:]}
+        pointers = {(owner, side): rng.randint(0, pool)
+                    for owner, side, pool in slots(spine)[1:]}
         dag = RelaxedDag(spine, pointers)
         dags.append(dag)
         # a structurally equal dag over a distinct spine object

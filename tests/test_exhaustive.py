@@ -18,7 +18,7 @@ from compacta.trees import (
     RelaxedDag,
     SpineTree,
     dag_to_text,
-    slot_sequence,
+    slots,
     validate,
 )
 from references import right_height
@@ -30,7 +30,7 @@ def catalan(n):
 
 def spine_shape(spine):
     """Canonical text of the spine: all pointers zeroed out."""
-    zeros = {(s.owner, s.side): 0 for s in slot_sequence(spine)[1:]}
+    zeros = {(owner, side): 0 for owner, side, _ in slots(spine)[1:]}
     return dag_to_text(RelaxedDag(spine, zeros))
 
 
@@ -74,7 +74,7 @@ def test_spine_product_multiplies_the_slot_pools():
         for n in range(8):
             for spine in gen_spines(n, bound):
                 assert spine_assignment_count(spine) == \
-                    math.prod(s.pool + 1 for s in slot_sequence(spine))
+                    math.prod(pool + 1 for _, _, pool in slots(spine))
 
 
 def test_bounded_spines():
@@ -172,6 +172,15 @@ def test_generate_checks_its_arguments():
         with pytest.raises(ValueError) as err:
             count_relaxed_spine_product(*args, budget=0)
         assert str(err.value) == message
+
+
+def test_spine_walks_refuse_a_negative_bound():
+    for n in (0, 3):
+        for bound in (-1, -2):
+            for walk in (gen_spines, spine_count):
+                with pytest.raises(ValueError) as err:
+                    walk(n, bound)
+                assert str(err.value) == "right-height bound must be >= 0"
 
 
 def test_generate_is_one_lazy_generator():

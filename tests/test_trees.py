@@ -15,7 +15,7 @@ from compacta.trees import (
     dag_to_text,
     parse_tree,
     print_tree,
-    slot_sequence,
+    slots,
     spine_size,
     validate,
 )
@@ -151,7 +151,7 @@ def test_post_order_children_before_parent():
 
 def test_slot_pools_left_chain():
     # slots of the size-3 left chain see pools 0, 0, 1, 2
-    assert [s.pool for s in slot_sequence(left_chain(3))] == [0, 0, 1, 2]
+    assert [pool for _, _, pool in slots(left_chain(3))] == [0, 0, 1, 2]
 
 
 # --- validation ------------------------------------------------------------
@@ -204,6 +204,37 @@ def test_dag_text_rejects_invalid():
         dag_from_text("(@1 @0)")
 
 
+@pytest.mark.parametrize("text, message, offset", [
+    (" @0\n", None, None),
+    ("@0", None, None),
+    ("@5", "leaf slot must read @0, got @5", 0),
+    ("@0 @0", "trailing input", 3),
+    ("@x", "bad pointer token '@x'", 0),
+    ("@", "bad pointer token '@'", 0),
+    ("", "unexpected end of input", 0),
+    ("(@1 @0)", "leaf slot must read @0, got @1", 1),
+])
+def test_dag_text_short_inputs(text, message, offset):
+    if message is None:
+        dag = dag_from_text(text)
+        assert dag.spine is None and dag.pointers == {}
+        return
+    with pytest.raises(ParseError) as err:
+        dag_from_text(text)
+    assert str(err.value) == f"{message} (at offset {offset})"
+    assert err.value.offset == offset
+
+
+@pytest.mark.parametrize("token", ["@+0", "@-0", "@0_0", "@00", "@01", "@\u0660"])
+def test_dag_text_pointer_tokens_are_ascii_digits_without_leading_zero(token):
+    # int() reads each of these, but none would print back as written
+    for text, offset in [(token, 0), (f"({token} @0)", 1), (f"(@0 {token})", 4),
+                         (f"((@0 @0) {token})", 9)]:
+        with pytest.raises(ParseError) as err:
+            dag_from_text(text)
+        assert str(err.value) == f"bad pointer token {token!r} (at offset {offset})"
+
+
 spines = st.recursive(
     st.just(None),
     lambda child: st.builds(SpineTree, child, child),
@@ -216,9 +247,9 @@ def test_dag_text_round_trip(spine, data):
     if spine is None:
         return
     pointers = {}
-    for slot in slot_sequence(spine)[1:]:
-        pointers[(slot.owner, slot.side)] = data.draw(
-            st.integers(0, slot.pool), label=f"target{(slot.owner, slot.side)}"
+    for owner, side, pool in slots(spine)[1:]:
+        pointers[(owner, side)] = data.draw(
+            st.integers(0, pool), label=f"target{(owner, side)}"
         )
     dag = RelaxedDag(spine, pointers)
     assert validate(dag) is None
