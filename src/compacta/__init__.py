@@ -11,6 +11,7 @@ oracles.
 """
 
 from .asympt import (
+    CertificationError,
     FitResult,
     SingularityData,
     fit_constant,

@@ -26,8 +26,9 @@ from fractions import Fraction
 from mpmath import mp, mpf
 
 from .dfinite import iter_counts, seed
-from .operators import build_operator
+from .operators import build_operator, check_k
 from .poly import IntPoly, binomial_alternating_poly
+from .recurrences import check_kind
 
 WORK_PREC = 120  # bits; plenty for the closed forms, the fits and 3-decimal tables
 FIT_ORDER = 3  # Richardson order of the constant fit
@@ -43,6 +44,10 @@ TABLE1_REFERENCE = {
     6: (3.532, -3.268, -3.0),
     7: (3.618, -3.766, -3.5),
 }
+
+
+class CertificationError(ArithmeticError):
+    """An exact identity that certifies the singularity data fails."""
 
 
 @dataclass(frozen=True)
@@ -77,7 +82,7 @@ def dominant_root(k: int) -> mpf:
 def _check_top(k: int, top: IntPoly) -> None:
     """The top coefficient is the fold of U_{k+2}, so its smallest root is rho."""
     if top != binomial_alternating_poly(k):
-        raise AssertionError(f"top coefficient is not the Chebyshev fold at k={k}")
+        raise CertificationError(f"top coefficient is not the Chebyshev fold at k={k}")
 
 
 def _check_compacted_delta1(k: int, top: IntPoly, sub: IntPoly) -> None:
@@ -91,14 +96,12 @@ def _check_compacted_delta1(k: int, top: IntPoly, sub: IntPoly) -> None:
     try:
         (p * lead).divexact(top)
     except ValueError:
-        raise AssertionError(f"exact delta1 identity fails at k={k}") from None
+        raise CertificationError(f"exact delta1 identity fails at k={k}") from None
 
 
 def singularity_data(k: int, family: str) -> SingularityData:
-    if family not in ("relaxed", "compacted"):
-        raise ValueError(f"family must be 'relaxed' or 'compacted', got {family!r}")
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    check_kind(family)
+    check_k(k)
     with mp.workprec(WORK_PREC):
         rho = dominant_root(k)
         growth = 1 / rho
@@ -111,7 +114,7 @@ def singularity_data(k: int, family: str) -> SingularityData:
                 _check_top(k, top)
                 # delta1 = k/2 exactly <=> 2 l_{k,k-1} = k l'_{k,k}
                 if 2 * op.coeff(k - 1) != k * top.derivative():
-                    raise AssertionError(f"exact delta1 identity fails at k={k}")
+                    raise CertificationError(f"exact delta1 identity fails at k={k}")
             delta1 = Fraction(k, 2)
             exponent = Fraction(-k, 2)
             reduced_order = -(-k // 2)  # ceil(k/2)

@@ -1,8 +1,8 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 domain error (budget, bad input data), 2 usage
-error.  Output is deterministic for fixed flags; CSV is the machine
-format, aligned columns the human one.
+Exit codes: 0 success, 1 domain error (budget, bad input data, a failed
+certificate), 2 usage error.  Output is deterministic for fixed flags; CSV
+is the machine format, aligned columns the human one.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from . import asympt, dfinite, exhaustive, recurrences
 from .compaction import uid_compact
 from .exhaustive import BudgetExceededError
 from .operators import build_operator, format_operator
-from .trees import ParseError, dag_to_text
+from .trees import dag_to_text
 
 # `count --n` prints big-int counts past the default int->str guard
 # (`sequence` prints Decimals, which the guard does not limit)
@@ -256,8 +256,8 @@ def run(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (BudgetExceededError, ParseError, dfinite.IntegralityError, ValueError,
-            OSError) as exc:
+    except (BudgetExceededError, dfinite.IntegralityError, asympt.CertificationError,
+            ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

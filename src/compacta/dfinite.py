@@ -56,15 +56,15 @@ from itertools import count, islice
 from math import factorial
 from operator import itemgetter
 
-from .operators import DiffOperator, build_operator
+from .operators import DiffOperator, build_operator, check_k
 from .poly import IntPoly
-from .recurrences import build_table, word_counts
+from .recurrences import build_table, check_kind, check_n, word_counts
 
 
 class IntegralityError(ArithmeticError):
-    """A seed is not an `int`, or a count in the prefix `seed` checks
-    disagrees with the word counts.  Past that prefix a wrong recurrence
-    can stream integers."""
+    """A seed or a closed-form count is not an integer, or a count in the
+    prefix `seed` checks disagrees with the word counts.  Past that prefix
+    a wrong recurrence can stream integers."""
 
 
 # Decimal arithmetic that never rounds: any result that would need rounding
@@ -174,10 +174,8 @@ def seed(k: int, family: str) -> SeededSequence:
     differs.  At k = 0 both families count the n! left combs, so both run
     on B_0.
     """
-    if family not in ("relaxed", "compacted"):
-        raise ValueError(f"family must be 'relaxed' or 'compacted', got {family!r}")
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    check_kind(family)
+    check_k(k)
     rec = ode_to_recurrence(build_operator("compacted" if k == 0 else family, k))
     n0 = max(rec.order, rec.span, 1)
     words = word_counts(family, n0 + 2 * rec.span + 10, k)
@@ -249,26 +247,17 @@ def _compacted_one_closed_form(n: int) -> int:
             / factorial(m)
         )
     value = factorial(n - 1) * total
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise IntegralityError(f"closed form gives {value} at n = {n}, not an integer")
     return int(value)
 
 
 def closed_form_oracle(k: int, family: str, n: int) -> int | None:
     """Exact count by a closed form, or None when no closed form exists."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if family == "relaxed":
-        if k == 0:
-            return factorial(n)
-        if k == 1:
-            return _double_factorial_odd(n)
-        if k == 2:
-            return _relaxed_two_closed_form(n)
-        return None
-    if family == "compacted":
-        if k == 0:
-            return factorial(n)
-        if k == 1:
-            return _compacted_one_closed_form(n)
-        return None
-    raise ValueError(f"unknown family {family!r}")
+    check_n(n)
+    check_kind(family)
+    check_k(k)
+    form = {(0, "relaxed"): factorial, (1, "relaxed"): _double_factorial_odd,
+            (2, "relaxed"): _relaxed_two_closed_form, (0, "compacted"): factorial,
+            (1, "compacted"): _compacted_one_closed_form}.get((k, family))
+    return None if form is None else form(n)

@@ -22,7 +22,7 @@ from math import comb
 from typing import Iterable, Iterator
 
 from .compaction import is_compacted
-from .recurrences import check_bound, word_counts
+from .recurrences import check_bound, check_kind, check_n, word_counts
 from .trees import RelaxedDag, SpineTree, slots
 
 DEFAULT_BUDGET = 10**8
@@ -46,15 +46,6 @@ def check_budget(estimate: int, budget: int | None) -> None:
         raise BudgetExceededError(estimate, limit)
 
 
-def _check_args(n: int, kind: str, max_right_height: int | None) -> None:
-    """Raise ValueError for a negative size or bound, or an unknown kind."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    check_bound(max_right_height)
-    if kind not in ("relaxed", "compacted"):
-        raise ValueError(f"kind must be 'relaxed' or 'compacted', got {kind!r}")
-
-
 def gen_spines(n: int, max_right_height: int | None = None) -> Iterator[SpineTree | None]:
     """All binary trees on n nodes (right height <= bound if given).
 
@@ -63,6 +54,7 @@ def gen_spines(n: int, max_right_height: int | None = None) -> Iterator[SpineTre
     call and kept while the generator lives, so spines share subtrees, also
     within one spine: a node's identity does not tell its position.
     """
+    check_n(n)
     check_bound(max_right_height)
     built: dict[tuple[int, int | None], list[SpineTree | None]] = {}
 
@@ -119,6 +111,7 @@ def spine_assignment_count(spine: SpineTree | None) -> int:
 def spine_count(n: int, max_right_height: int | None = None) -> int:
     """How many spines gen_spines yields: Catalan(n), or under a bound the
     DP of its split (the right subtree one bound lower, none below 0)."""
+    check_n(n)
     check_bound(max_right_height)
     if max_right_height is None or max_right_height >= n:
         return comb(2 * n, n) // (n + 1)
@@ -134,8 +127,8 @@ def spine_count(n: int, max_right_height: int | None = None) -> int:
 def count_relaxed_spine_product(n: int, max_right_height: int | None = None,
                                 budget: int | None = None) -> int:
     """Relaxed-tree count by the spine product, independent of any table.
-    The budget bounds the spines it walks, counted first."""
-    _check_args(n, "relaxed", max_right_height)
+    The budget bounds the spines it walks, counted first (which checks n
+    and the bound)."""
     check_budget(spine_count(n, max_right_height), budget)
     return sum(spine_assignment_count(s) for s in gen_spines(n, max_right_height))
 
@@ -158,7 +151,9 @@ def generate(n: int, kind: str, max_right_height: int | None = None,
     caller fails before it pulls anything.  Compacted DAGs are the relaxed
     ones that pass is_compacted.
     """
-    _check_args(n, kind, max_right_height)
+    check_n(n)
+    check_bound(max_right_height)
+    check_kind(kind)
     check_budget(word_counts("relaxed", n, max_right_height)[n], budget)
     spines = gen_spines(n, max_right_height)
     if kind == "relaxed":

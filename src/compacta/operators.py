@@ -27,6 +27,7 @@ from .poly import (
     format_poly,
     iter_family,
 )
+from .recurrences import check_kind
 
 
 class DiffOperator:
@@ -153,16 +154,22 @@ _COMPACTED = (
 MAX_K = 200
 
 
-def build_operator(family: str, k: int) -> DiffOperator:
-    """family in {"relaxed", "compacted"} (CLI aliases "L" / "M" accepted)."""
+def check_k(k: int) -> None:
+    if k < 0:
+        raise ValueError("k must be >= 0")
     if k > MAX_K:
         raise ValueError(f"k must be <= {MAX_K}, got {k}")
-    key = family.lower()
-    if key in ("relaxed", "l"):
-        return DiffOperator(*relaxed_coefficients(k))
-    if key in ("compacted", "m"):
-        return DiffOperator(*compacted_coefficients(k))
-    raise ValueError(f"unknown operator family: {family!r}")
+
+
+def build_operator(family: str, k: int) -> DiffOperator:
+    """family in {"relaxed", "compacted"} (CLI aliases "L" / "M" accepted),
+    from the per-coefficient recurrences below rather than by composition."""
+    family = {"L": "relaxed", "M": "compacted"}.get(family, family)
+    check_kind(family)
+    check_k(k)
+    if family == "relaxed":
+        return DiffOperator(*extend_family(_RELAXED_COEFFS, k, _relaxed_coefficients_step))
+    return DiffOperator(*extend_family(_COMPACTED_COEFFS, k, _compacted_coefficients_step))
 
 
 # ---------------------------------------------------------------------------
@@ -214,20 +221,6 @@ def _compacted_coefficients_step(prev, prev2, k):
 
 _RELAXED_COEFFS = tuple(op.coeffs for op in _RELAXED)
 _COMPACTED_COEFFS = tuple(op.coeffs for op in _COMPACTED)
-
-
-def relaxed_coefficients(k: int) -> tuple[IntPoly, ...]:
-    """Coefficients (index i = D^i) of the order-k relaxed operator, computed
-    from the per-coefficient recurrences rather than by composition."""
-    return extend_family(_RELAXED_COEFFS, k, _relaxed_coefficients_step)
-
-
-def compacted_coefficients(k: int) -> tuple[IntPoly, ...]:
-    """Coefficients (index i = D^(i+1), position 0 of the tuple = D^0 term)
-    of the order-(k+1) compacted operator, via the per-coefficient
-    recurrences.  Returned ascending by derivative order, like
-    DiffOperator.coeffs."""
-    return extend_family(_COMPACTED_COEFFS, k, _compacted_coefficients_step)
 
 
 def coeff_recurrences_check(k: int) -> str | None:

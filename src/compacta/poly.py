@@ -157,9 +157,7 @@ def iter_family(base: tuple, step):
 
 def extend_family(base: tuple, k: int, step):
     """Member k of the family ``iter_family(base, step)``, built bottom-up in
-    a loop, so any k is reached without recursion."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    a loop, so any k >= 0 is reached without recursion."""
     return next(islice(iter_family(base, step), k, None))
 
 

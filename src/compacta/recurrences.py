@@ -42,8 +42,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-VALID_KINDS = ("compacted", "relaxed")
-
 
 @dataclass(frozen=True)
 class CountTable:
@@ -70,11 +68,18 @@ class CountTable:
         return [self.rows[n][0] for n in range(self.nmax + 1)]
 
 
-def _check(kind: str, nmax: int) -> None:
-    if kind not in VALID_KINDS:
-        raise ValueError(f"kind must be one of {VALID_KINDS}, got {kind!r}")
-    if nmax < 0:
-        raise ValueError("nmax must be >= 0")
+# One check per argument, shared by every public entry, so that an argument
+# has one message wherever it is refused (the k check is `operators.check_k`).
+
+
+def check_kind(kind: str) -> None:
+    if kind not in ("relaxed", "compacted"):
+        raise ValueError(f"kind must be 'relaxed' or 'compacted', got {kind!r}")
+
+
+def check_n(n: int) -> None:
+    if n < 0:
+        raise ValueError("n must be >= 0")
 
 
 def check_bound(max_right_height: int | None) -> None:
@@ -83,7 +88,8 @@ def check_bound(max_right_height: int | None) -> None:
 
 
 def build_table(kind: str, nmax: int) -> CountTable:
-    _check(kind, nmax)
+    check_kind(kind)
+    check_n(nmax)
     rows: list[list[int]] = [[p + 1 for p in range(nmax + 1)]]
     if nmax >= 1:
         if kind == "compacted":
@@ -106,7 +112,8 @@ def build_table(kind: str, nmax: int) -> CountTable:
 def word_counts(kind: str, nmax: int, max_right_height: int | None = None) -> list[int]:
     """Counts of {kind} trees of size n = 0..nmax (right height <= the bound,
     if given) by the level recurrence: O(nmax^2) big-int steps."""
-    _check(kind, nmax)
+    check_kind(kind)
+    check_n(nmax)
     check_bound(max_right_height)
     top = nmax if max_right_height is None else max_right_height + 1
     counts = [1] * min(nmax + 1, 2)

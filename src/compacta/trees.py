@@ -426,5 +426,10 @@ def dag_from_text(text: str) -> RelaxedDag:
     pointers = {slot[:2]: target for slot, target in zip(spine_slots[1:], targets[1:])}
     problem = _violation(pointers, spine_slots)
     if problem is not None:
-        raise ParseError(f"invalid dag: {problem}", 0)
+        # only a target past its pool can fail here; it is the first such
+        # slot, and the i-th slot is written as the i-th '@'
+        bad = next(i for i, ((_, _, pool), target) in enumerate(zip(spine_slots, targets))
+                   if target > pool)
+        at = [m.start() for m in re.finditer("@", text)][bad]
+        raise ParseError(f"invalid dag: {problem}", at)
     return RelaxedDag(spine, pointers)

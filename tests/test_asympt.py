@@ -7,6 +7,7 @@ from mpmath import mp, mpf
 
 from compacta import asympt
 from compacta.asympt import (
+    CertificationError,
     FitResult,
     TABLE1_REFERENCE,
     _count_mpf,
@@ -17,6 +18,7 @@ from compacta.asympt import (
     singularity_data,
     table1,
 )
+from compacta.cli import run
 from compacta.operators import DiffOperator
 from compacta.poly import IntPoly
 from references import exponent_regression, proportion_exponent
@@ -79,7 +81,7 @@ def _corrupt_coefficient(monkeypatch, index):
 @pytest.mark.parametrize("k", [0, 1, 2, 7, 40])
 def test_corrupted_subleading_coefficient_fails_compacted_certification(monkeypatch, k):
     _corrupt_coefficient(monkeypatch, lambda k: k)
-    with pytest.raises(AssertionError):
+    with pytest.raises(CertificationError):
         singularity_data(k, "compacted")
 
 
@@ -88,8 +90,20 @@ def test_corrupted_subleading_coefficient_fails_compacted_certification(monkeypa
 @pytest.mark.parametrize("k", [1, 2, 7, 40])
 def test_corrupted_top_coefficient_fails_certification(monkeypatch, family, top, k):
     _corrupt_coefficient(monkeypatch, top)
-    with pytest.raises(AssertionError):
+    with pytest.raises(CertificationError):
         singularity_data(k, family)
+
+
+@pytest.mark.parametrize("family, index, message", [
+    ("compacted", lambda k: k + 1, "top coefficient is not the Chebyshev fold at k=3"),
+    ("compacted", lambda k: k, "exact delta1 identity fails at k=3"),
+    ("relaxed", lambda k: k - 1, "exact delta1 identity fails at k=3"),
+])
+def test_a_failed_certificate_is_a_cli_error(monkeypatch, capsys, family, index, message):
+    _corrupt_coefficient(monkeypatch, index)
+    assert run(["asymptotics", "--family", family, "--k", "3", "--fit"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 def test_indicial_roots_relaxed():

@@ -67,7 +67,7 @@ def test_count_rejects_negative_n(table, capsys):
     assert run(["count", "--kind", "compacted", "--n", "-1", *table]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: nmax must be >= 0\n"
+    assert captured.err == "error: n must be >= 0\n"
 
 
 def test_sequence_relaxed_one(capsys):
@@ -184,6 +184,19 @@ def test_table1_all_pass(capsys):
     lines = out_lines(capsys)
     assert len(lines) == 8  # header + 7 rows
     assert all(line.endswith("PASS") for line in lines[1:])
+
+
+def test_a_reference_off_by_a_thousandth_fails_table1_and_selftest(monkeypatch, capsys):
+    # the 3-decimal tolerance must not absorb a wrong third decimal
+    growth, alpha, beta = asympt.TABLE1_REFERENCE[3]
+    monkeypatch.setitem(asympt.TABLE1_REFERENCE, 3, (growth + 1e-3, alpha, beta))
+    assert run(["table1"]) == 1
+    rows = out_lines(capsys)[1:]
+    assert [row.split()[-1] for row in rows] == ["PASS"] * 2 + ["FAIL"] + ["PASS"] * 4
+    assert run(["selftest"]) == 1
+    lines = out_lines(capsys)
+    assert "FAIL  growth/exponent table" in lines
+    assert lines[-1] == "1 FAILURES"
 
 
 def test_enumerate_count_only(capsys):

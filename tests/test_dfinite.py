@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from compacta import dfinite
+from compacta.cli import run
 from compacta.dfinite import (
     IntegralityError,
     SeededSequence,
@@ -408,6 +409,14 @@ def test_closed_form_oracle_values():
     assert closed_form_oracle(0, "compacted", 6) == 720
     assert closed_form_oracle(2, "compacted", 10) is None
     assert closed_form_oracle(3, "relaxed", 10) is None
+
+
+def test_a_non_integer_closed_form_raises(monkeypatch, capsys):
+    monkeypatch.setattr(dfinite, "_rising", lambda x, m: Fraction(1, 3))
+    with pytest.raises(IntegralityError, match=r"^closed form gives 1/3 at n = 1, "):
+        closed_form_oracle(1, "compacted", 1)
+    assert run(["selftest"]) == 1
+    assert capsys.readouterr().err.startswith("error: closed form gives ")
 
 
 def test_closed_forms_match_streams():

@@ -2,8 +2,16 @@ import math
 
 import pytest
 
-from compacta.dfinite import sequence_values
-from compacta.exhaustive import brute_count, count_relaxed_spine_product, generate
+from compacta.asympt import singularity_data
+from compacta.dfinite import closed_form_oracle, seed, sequence_values
+from compacta.exhaustive import (
+    brute_count,
+    count_relaxed_spine_product,
+    gen_spines,
+    generate,
+    spine_count,
+)
+from compacta.operators import MAX_K, build_operator
 from compacta.recurrences import build_table, word_counts
 from references import dense_level_counts, letter_word_counts, level_matrix
 
@@ -156,3 +164,47 @@ def test_word_counts_rejects_a_negative_bound(bound):
                 word_counts(kind, n, bound)
             assert str(word_error.value) == str(filter_error.value)
             assert str(word_error.value) == "right-height bound must be >= 0"
+
+
+def test_each_argument_has_one_message_at_every_entry():
+    refused = {
+        "kind must be 'relaxed' or 'compacted', got 'weird'": [
+            lambda: build_table("weird", 3),
+            lambda: word_counts("weird", 3),
+            lambda: generate(3, "weird"),
+            lambda: brute_count(3, "weird"),
+            lambda: seed(2, "weird"),
+            lambda: seed(0, "weird"),
+            lambda: singularity_data(2, "weird"),
+            lambda: closed_form_oracle(1, "weird", 3),
+            lambda: build_operator("weird", 2),
+        ],
+        "n must be >= 0": [
+            lambda: build_table("relaxed", -1),
+            lambda: word_counts("compacted", -1),
+            lambda: generate(-1, "relaxed"),
+            lambda: brute_count(-1, "compacted"),
+            lambda: count_relaxed_spine_product(-1),
+            lambda: gen_spines(-1),
+            lambda: spine_count(-1),
+            lambda: closed_form_oracle(1, "relaxed", -1),
+        ],
+        "k must be >= 0": [
+            lambda: seed(-1, "relaxed"),
+            lambda: singularity_data(-1, "relaxed"),
+            lambda: singularity_data(-1, "compacted"),
+            lambda: closed_form_oracle(-1, "compacted", 3),
+            lambda: build_operator("M", -1),
+        ],
+        f"k must be <= {MAX_K}, got {MAX_K + 1}": [
+            lambda: seed(MAX_K + 1, "compacted"),
+            lambda: singularity_data(MAX_K + 1, "relaxed"),
+            lambda: closed_form_oracle(MAX_K + 1, "relaxed", 3),
+            lambda: build_operator("L", MAX_K + 1),
+        ],
+    }
+    for message, calls in refused.items():
+        for call in calls:
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == message

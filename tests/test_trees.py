@@ -198,8 +198,17 @@ def test_dag_text_size_zero():
 
 
 def test_dag_text_rejects_invalid():
-    with pytest.raises(ParseError):
-        dag_from_text("((@0 @2) @0)")
+    # a target past its pool is named at its own token
+    for text, slot, target, pool, offset in [
+        ("((@0 @2) @0)", (1, "right"), 2, 0, 5),
+        ("(@0 (@0 @2))", (1, "right"), 2, 0, 8),
+        ("((@0 @0) (@1 @3))", (2, "right"), 3, 1, 13),
+    ]:
+        with pytest.raises(ParseError) as err:
+            dag_from_text(text)
+        assert str(err.value) == (f"invalid dag: pointer at slot {slot} targets {target}, "
+                                  f"legal range is 0..{pool} (at offset {offset})")
+        assert text[err.value.offset:].startswith(f"@{target}")
     with pytest.raises(ParseError):
         dag_from_text("(@1 @0)")
 
