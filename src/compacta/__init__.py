@@ -10,14 +10,6 @@ families, cross-checking everything against independent brute-force
 oracles.
 """
 
-from .asympt import (
-    CertificationError,
-    FitResult,
-    SingularityData,
-    fit_constant,
-    singularity_data,
-    table1,
-)
 from .compaction import (
     UidTable,
     first_duplicate,
@@ -26,6 +18,7 @@ from .compaction import (
     unfold,
 )
 from .dfinite import (
+    CertificationError,
     CountRecurrence,
     IntegralityError,
     SeededSequence,
@@ -62,3 +55,18 @@ from .trees import (
 )
 
 __version__ = "0.1.0"
+
+# The asymptotics need mpmath, about half the cost of a cold import; only
+# their names load it, on first use (PEP 562).  The exact side never does.
+_ASYMPT = ("FitResult", "SingularityData", "fit_constant", "singularity_data", "table1")
+
+
+def __getattr__(name: str):
+    if name in _ASYMPT:
+        from . import asympt
+        return getattr(asympt, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_ASYMPT})

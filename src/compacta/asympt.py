@@ -25,10 +25,10 @@ from fractions import Fraction
 
 from mpmath import mp, mpf
 
-from .dfinite import iter_counts, seed
+from .dfinite import CertificationError, iter_counts, seed
 from .operators import build_operator, check_k
 from .poly import IntPoly, binomial_alternating_poly
-from .recurrences import check_kind
+from .recurrences import check_kind, check_upto
 
 WORK_PREC = 120  # bits; plenty for the closed forms, the fits and 3-decimal tables
 FIT_ORDER = 3  # Richardson order of the constant fit
@@ -44,10 +44,6 @@ TABLE1_REFERENCE = {
     6: (3.532, -3.268, -3.0),
     7: (3.618, -3.766, -3.5),
 }
-
-
-class CertificationError(ArithmeticError):
-    """An exact identity that certifies the singularity data fails."""
 
 
 @dataclass(frozen=True)
@@ -218,9 +214,10 @@ def _count_mpf(count: int) -> mpf:
     return mp.ldexp(mpf(top), shift)
 
 
-def scaled_ratio_log(count: int, n: int, growth: mpf, exponent) -> mpf:
-    """log of count / (n! growth^n n^exponent), exactly on the integer."""
-    value = mp.log(_count_mpf(count)) - mp.loggamma(n + 1) - n * mp.log(growth)
+def scaled_ratio_log(count: int, n: int, log_growth: mpf, exponent) -> mpf:
+    """log of count / (n! growth^n n^exponent), exactly on the integer;
+    log_growth = log(growth) is the caller's, computed once per pass."""
+    value = mp.log(_count_mpf(count)) - mp.loggamma(n + 1) - n * log_growth
     if exponent:
         value -= mp.mpmathify(exponent) * mp.log(n)
     return value
@@ -233,9 +230,10 @@ def scaled_ratios(data: SingularityData, ns) -> list[tuple[int, mpf]]:
     last = max(wanted)
     points = []
     with mp.workprec(WORK_PREC):
+        log_growth = mp.log(data.growth)
         for n, count in iter_counts(seed(data.k, data.family)):
             if n in wanted:
-                u = mp.exp(scaled_ratio_log(count, n, data.growth, data.exponent))
+                u = mp.exp(scaled_ratio_log(count, n, log_growth, data.exponent))
                 points.append((n, u))
             if n >= last:
                 break
@@ -259,17 +257,16 @@ def _richardson(points: list[tuple[int, mpf]], order: int) -> tuple[mpf, list[mp
     return diag[order], diag[: order + 1]
 
 
-def fit_constant(data: SingularityData, n_max: int) -> FitResult:
+def fit_constant(data: SingularityData, upto: int) -> FitResult:
     """Estimate the constant in count ~ const * n! * growth^n * n^exponent,
     with growth and exponent taken from ``data`` as given.
 
-    Evaluates u_n on the dyadic ladder n_max, n_max/2, ..., n_max/16 and
-    Richardson-extrapolates in 1/n to order FIT_ORDER.  n_max >= 2, so the
+    Evaluates u_n on the dyadic ladder upto, upto/2, ..., upto/16 and
+    Richardson-extrapolates in 1/n to order FIT_ORDER.  upto >= 2, so the
     ladder has at least two points and convergence has something to compare.
     """
-    if n_max < 2:
-        raise ValueError(f"n_max must be >= 2, got {n_max}")
-    points = scaled_ratios(data, {max(n_max >> j, 1) for j in range(5)})
+    check_upto(upto, 2)
+    points = scaled_ratios(data, {max(upto >> j, 1) for j in range(5)})
     with mp.workprec(WORK_PREC):
         estimate, diag = _richardson(points, FIT_ORDER)
         converged = abs(diag[-1] - diag[-2]) <= mpf("1e-3") * abs(diag[-1])

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 domain error (budget, bad input data, a failed
 certificate), 2 usage error.  Output is deterministic for fixed flags; CSV
-is the machine format, aligned columns the human one.
+is the machine format, aligned columns the human one.  Only `asymptotics`,
+`table1` and `selftest` import `asympt`, and with it mpmath, which would
+otherwise be about half of every command's start-up.
 """
 
 from __future__ import annotations
@@ -12,10 +14,11 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 
-from . import asympt, dfinite, exhaustive, recurrences
+from . import dfinite, exhaustive, recurrences
 from .compaction import uid_compact
 from .exhaustive import BudgetExceededError
 from .operators import build_operator, format_operator
+from .recurrences import check_upto
 from .trees import dag_to_text
 
 # `count --n` prints big-int counts past the default int->str guard
@@ -145,13 +148,15 @@ def _cmd_operator(args) -> int:
 
 
 def _cmd_asymptotics(args) -> int:
+    from . import asympt
+
+    # --upto is checked before any certificate runs; the fit and the plot
+    # are made before printing, so that a bad --emit-plot path prints nothing
+    if args.fit or args.emit_plot:
+        check_upto(args.upto, 2 if args.fit else 1)
     data = asympt.singularity_data(args.k, args.family)
-    # fit, check and write the plot before printing, so that a bad --upto or
-    # --emit-plot path prints nothing
     fit = asympt.fit_constant(data, args.upto) if args.fit else None
     if args.emit_plot:
-        if args.upto < 1:
-            raise ValueError(f"upto must be >= 1, got {args.upto}")
         rows = asympt.scaled_ratios(data, range(1, args.upto + 1))
         with open(args.emit_plot, "w", encoding="utf-8") as fh:
             fh.write("n,u\n" + "".join(f"{n},{float(u)!r}\n" for n, u in rows))
@@ -181,6 +186,8 @@ def _cmd_asymptotics(args) -> int:
 
 
 def _cmd_table1(args) -> int:
+    from . import asympt
+
     rows = asympt.table1()
     print(f"{'k':>2} {'growth':>20} {'~':>7} {'alpha':>34} {'~':>7} "
           f"{'beta':>5} {'~':>7} {'check':>5}")
@@ -194,6 +201,8 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from . import asympt
+
     failures = 0
 
     def check(name: str, ok: bool) -> None:
@@ -256,7 +265,7 @@ def run(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (BudgetExceededError, dfinite.IntegralityError, asympt.CertificationError,
+    except (BudgetExceededError, dfinite.IntegralityError, dfinite.CertificationError,
             ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

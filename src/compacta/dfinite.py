@@ -58,13 +58,19 @@ from operator import itemgetter
 
 from .operators import DiffOperator, build_operator, check_k
 from .poly import IntPoly
-from .recurrences import build_table, check_kind, check_n, word_counts
+from .recurrences import build_table, check_kind, check_n, check_upto, word_counts
 
 
 class IntegralityError(ArithmeticError):
     """A seed or a closed-form count is not an integer, or a count in the
     prefix `seed` checks disagrees with the word counts.  Past that prefix
     a wrong recurrence can stream integers."""
+
+
+class CertificationError(ArithmeticError):
+    """An exact identity that certifies the singularity data fails.  It
+    lives here, beside IntegralityError, so that the CLI can catch it
+    without importing `asympt` (and mpmath)."""
 
 
 # Decimal arithmetic that never rounds: any result that would need rounding
@@ -197,8 +203,7 @@ def sequence_values(k: int, family: str, upto: int, num: type = int):
     argument raises before any count is produced; the result is a lazy
     iterator that computes each count, of type num, as it is pulled.
     """
-    if upto < 0:
-        raise ValueError("upto must be >= 0")
+    check_upto(upto, 0)
     return map(itemgetter(1), islice(iter_counts(seed(k, family), num), upto + 1))
 
 

@@ -87,6 +87,13 @@ def check_bound(max_right_height: int | None) -> None:
         raise ValueError("right-height bound must be >= 0")
 
 
+def check_upto(upto: int, least: int) -> None:
+    """upto is the last n: `sequence` takes least 0, a plot of n = 1..upto
+    least 1, and a fit least 2, so that its ladder has two points."""
+    if upto < least:
+        raise ValueError(f"upto must be >= {least}, got {upto}")
+
+
 def build_table(kind: str, nmax: int) -> CountTable:
     check_kind(kind)
     check_n(nmax)

@@ -284,10 +284,11 @@ def exponent_regression(k: int, family: str, n_lo: int = 500, n_hi: int = 2000,
     data = singularity_data(k, family)
     xs, ys = [], []
     with mp.workprec(WORK_PREC):
+        log_growth = mp.log(data.growth)
         for n, count in iter_counts(seed(k, family)):
             if n >= n_lo and (n - n_lo) % step == 0:
                 xs.append(float(mp.log(n)))
-                ys.append(float(scaled_ratio_log(count, n, data.growth, 0)))
+                ys.append(float(scaled_ratio_log(count, n, log_growth, 0)))
             if n >= n_hi:
                 break
     m = len(xs)

@@ -199,7 +199,7 @@ def test_fit_reports_convergence():
 def test_fit_needs_two_ladder_points():
     # one point would be its own estimate, with nothing to compare it to
     data = singularity_data(3, "compacted")
-    with pytest.raises(ValueError, match=r"^n_max must be >= 2, got 1$"):
+    with pytest.raises(ValueError, match=r"^upto must be >= 2, got 1$"):
         fit_constant(data, 1)
     fit = fit_constant(data, 2)
     assert [n for n, _ in fit.ladder] == [1, 2]

@@ -524,7 +524,28 @@ def test_fit_with_a_bad_upto_prints_nothing(upto, capsys):
     assert run(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: n_max must be >= 2, got {upto}\n"
+    assert captured.err == f"error: upto must be >= 2, got {upto}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["asymptotics", "--family", "compacted", "--k", "3", "--fit", "--upto", "1"],
+     "upto must be >= 2, got 1"),
+    (["asymptotics", "--family", "compacted", "--k", "3", "--upto", "0",
+      "--emit-plot", "PLOT"], "upto must be >= 1, got 0"),
+    (["asymptotics", "--family", "relaxed", "--k", "3", "--fit", "--upto", "1",
+      "--emit-plot", "PLOT"], "upto must be >= 2, got 1"),
+    (["sequence", "--family", "relaxed", "--k", "2", "--upto", "-2"],
+     "upto must be >= 0, got -2"),
+])
+def test_upto_has_one_check_before_any_certificate(argv, message, monkeypatch,
+                                                   tmp_path, capsys):
+    calls = []
+    monkeypatch.setattr(asympt, "singularity_data", lambda *a: calls.append(a))
+    plot = tmp_path / "u.csv"
+    assert run([str(plot) if a == "PLOT" else a for a in argv]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert calls == []
+    assert not plot.exists()
 
 
 def test_usage_error_exit_code():
