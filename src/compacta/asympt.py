@@ -205,8 +205,10 @@ class FitResult:
 
 def _count_mpf(count: int) -> mpf:
     """mpf(count) for count > 0, rounded from its top prec + 3 bits and a
-    sticky bit: mpmath's pure-Python backend strips every trailing zero bit
-    of an int, and c_n = n! a_n has about n of them."""
+    sticky bit: mpf(count) first strips the int's trailing zero bits, 8 per
+    full-width shift.  v2(c_2000) is 0-4 for most families but 501 for
+    compacted k = 1 and 1990 for relaxed k = 2, where mpf took 80 and 300 us
+    against 6 and 3 us (CPython 3.11, pure-Python mpmath)."""
     shift = count.bit_length() - mp.prec - 3
     if shift <= 0:
         return mpf(count)
@@ -227,6 +229,10 @@ def scaled_ratios(data: SingularityData, ns) -> list[tuple[int, mpf]]:
     """(n, u_n) for each n in ns, ascending, from one pass over the stream;
     a list, so that no precision context is held across a yield."""
     wanted = set(ns)
+    if not wanted:
+        raise ValueError("ns must name at least one n")
+    if min(wanted) < 1:
+        raise ValueError(f"n must be >= 1, got {min(wanted)}")
     last = max(wanted)
     points = []
     with mp.workprec(WORK_PREC):

@@ -79,11 +79,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_compact(args) -> int:
     with open(args.file, "r", encoding="utf-8") as fh:
-        dag, table = uid_compact(fh.read())
-    print("label,uid_left,uid_right,uid")
-    for (label, ul, ur), uid in table.rows:
-        print(f"{label if label is not None else ''},{ul},{ur},{uid}")
-    print(dag_to_text(dag))
+        dag_text, table = uid_compact(fh.read())
+    rows = (f"{label if label is not None else ''},{ul},{ur},{uid}"
+            for (label, ul, ur), uid in table.rows)
+    print("\n".join(("label,uid_left,uid_right,uid", *rows, dag_text)))
     return 0
 
 

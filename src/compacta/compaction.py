@@ -2,9 +2,9 @@
 
 ``uid_compact`` assigns a unique identifier to every distinct (fringe)
 subtree of a full binary tree and returns both the identifier table and the
-compacted DAG: every edge to an already-seen subtree becomes a pointer to
-the subtree's first occurrence in post-order, so each distinct subtree is
-stored exactly once.
+text of the compacted DAG: every edge to an already-seen subtree becomes a
+pointer to the subtree's first occurrence in post-order, so each distinct
+subtree is stored exactly once.
 
 Hash-consing runs inside the tree reader (``trees._read``), which sees atoms
 in text order and completes nodes in post-order, so it needs no walk of its
@@ -12,7 +12,9 @@ own and builds no ``BinaryTree``; a ``BinaryTree`` is printed with
 ``print_tree`` and read the same way.  Each subtree is keyed by the integer
 triple (label, left value number, right value number).  A value number is
 the post-order index of a subtree's first occurrence, which is also its
-index in the DAG; the empty tree's is 0.
+index in the DAG; the empty tree's is 0.  A subtree also carries its part of
+the DAG text: "@i" for a repeat of node i and for the leaf ("@0"), and its
+children's parts for a first occurrence, which ``trees._print`` writes out.
 
 Identifier numbering follows the classic value-numbering schedule: all
 subtrees of height h receive their ids before any subtree of height h+1, in
@@ -22,10 +24,10 @@ tree, so an unlabeled leaf contributes no table row while a labeled leaf x
 produces the row ((x, 0, 0), uid).
 
 Spine nodes sit at post-order first occurrences and pointer targets are
-post-order indices, so the result is a valid relaxed DAG.  For unlabeled
-input the DAG always passes ``is_compacted``; labeled leaves with distinct
-labels erase to structurally equal nodes, so the label-erased DAG of a
-labeled tree need not.
+post-order indices, so the text reads back (``trees.dag_from_text``) as a
+valid relaxed DAG.  For unlabeled input that DAG always passes
+``is_compacted``; labeled leaves with distinct labels erase to structurally
+equal nodes, so the label-erased DAG of a labeled tree need not.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .trees import (
     LEAF,
     BinaryTree,
     RelaxedDag,
-    SpineTree,
+    _print,
     _read,
     _shape,
     dag_adjacency,
@@ -45,11 +47,7 @@ from .trees import (
 
 Triple = tuple[str | None, int, int]
 
-# A subtree reads as (value number, spine node); the spine node is None
-# unless this occurrence is the first, and False for the leaf slot, which is
-# empty but takes no pointer.
-_EMPTY = (0, None)
-_LEAF_SLOT = (0, False)
+_LEAF = (0, "@0")  # (value number, text) of the leaf
 
 
 @dataclass(frozen=True)
@@ -59,42 +57,34 @@ class UidTable:
     rows: tuple[tuple[Triple, int], ...]
 
 
-def uid_compact(tree: BinaryTree | str) -> tuple[RelaxedDag, UidTable]:
+def uid_compact(tree: BinaryTree | str) -> tuple[str, UidTable]:
     """Compact a full binary tree, given as text or as a ``BinaryTree`` whose
     labels are atoms of the grammar (it is printed with ``print_tree``);
-    returns (dag, identifier table).  Value numbering runs inside the text
-    reader, so malformed text raises the same ``ParseError`` as ``parse_tree``."""
+    returns (DAG text, identifier table).  Value numbering runs inside the
+    text reader, so malformed text raises the same ``ParseError`` as
+    ``parse_tree``."""
     text = tree if isinstance(tree, str) else print_tree(tree)
     vn: dict[Triple, int] = {}  # (label, vn left, vn right) -> value number
     heights = [-1]  # by value number; the empty tree has value number 0
-    pointers: dict[tuple[int, str], int] = {}
-    leaf_slot = [_LEAF_SLOT]  # taken by the first atom read
 
     def node(left, right, label):
-        left_number, left_spine = left
-        right_number, right_spine = right
+        left_number, left_part = left
+        right_number, right_part = right
         key = (label, left_number, right_number)
         number = vn.get(key)
         if number is not None:
-            return number, None
+            return number, f"@{number}"
         number = vn[key] = len(vn) + 1
         heights.append(max(heights[left_number], heights[right_number]) + 1)
-        if left_spine is None:
-            pointers[(number, "left")] = left_number
-        if right_spine is None:
-            pointers[(number, "right")] = right_number
-        return number, SpineTree(left_spine or None, right_spine)
+        return number, ("(", left_part, right_part)
 
     def atom(tok: str):
-        # The first atom read is the leaf slot (a '.') or owns it (a labeled
-        # leaf): it is a left child on the leftmost path, and every node on
-        # that path is a first occurrence.
         if tok == ")":
             raise ValueError("unexpected ')'")
-        left = leaf_slot.pop() if leaf_slot else _EMPTY
-        return left if tok == "." else node(left, _EMPTY, tok)  # labeled leaf
+        return _LEAF if tok == "." else node(_LEAF, _LEAF, tok)  # labeled leaf
 
     _, root = _read(text, atom, node, labeled=True)
+    dag_text = _print(root, lambda part: part)  # parts are (opening, left, right)
 
     # identifiers number the distinct subtrees by (height, value number)
     triples = list(vn)  # insertion order is value-number order
@@ -102,11 +92,9 @@ def uid_compact(tree: BinaryTree | str) -> tuple[RelaxedDag, UidTable]:
     uid = [0] * (len(triples) + 1)
     for rank, number in enumerate(order, start=1):
         uid[number] = rank
-    rows = []
-    for number in order:
-        label, left, right = triples[number - 1]
-        rows.append(((label, uid[left], uid[right]), uid[number]))
-    return RelaxedDag(root or None, pointers), UidTable(tuple(rows))
+    rows = tuple(((label, uid[left], uid[right]), uid[number])
+                 for number in order for label, left, right in [triples[number - 1]])
+    return dag_text, UidTable(rows)
 
 
 def unfold(dag: RelaxedDag, at: int | None = None) -> BinaryTree:

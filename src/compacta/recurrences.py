@@ -20,9 +20,11 @@ X(1) = (1, ..., 1), with c_{j+1} = X(j+1)[1].  X(j)[a] weighs the words
 (below) up to the j-th node that leave stack height a = 1..K, with K = k+1
 for right height <= k, else nmax.  With t = j+1, T(j)[a][b] = w(a-b+1) for
 b <= a+1, else 0, where w(0) = 1, w(1) = t, w(2) = t^2 - j (compacted) or
-t^2 (relaxed), and w(d) = t w(d-1).  With P_a = t P_{a-1} + X[a] (Horner),
-a level is X'[a] = X[a+1] + t P_a - j P_{a-1} (no j term for relaxed), O(K)
-steps.  Heights above nmax - j at level j+1 cannot close by nmax: dropped.
+t^2 (relaxed), and w(d) = t w(d-1).  With P_a = t P_{a-1} + X[a] (Horner,
+P_0 = 0) and s = j (compacted) or 0, X'[a] = X[a+1] + t P_a - s P_{a-1};
+as X[a+1] = P_{a+1} - t P_a, a level is X'[a] = P_{a+1} - s P_{a-1} (a
+relaxed one is P shifted by one), O(K) steps.  Heights above nmax - j at
+level j+1 cannot close by nmax: dropped.
 
 The weights read a spine's post-order as a word: S is an empty child (a
 pointer slot with t targets, a leaf or one of the j completed nodes), N a
@@ -126,15 +128,15 @@ def word_counts(kind: str, nmax: int, max_right_height: int | None = None) -> li
     counts = [1] * min(nmax + 1, 2)
     x = [1] * min(top, nmax)  # X(1)
     for j in range(1, nmax):
-        t, sj = j + 1, j * (kind == "compacted")
+        t = j + 1
         x.append(0)  # X[a+1] past the top height
-        nxt = []
-        p = tp = 0  # P_{a-1} and t P_{a-1}
-        for xa, up in zip(x, x[1:min(top, nmax - j) + 1]):
-            pa = tp + xa
-            tp = t * pa
-            nxt.append(up + tp - sj * p)
-            p = pa
-        x = nxt
+        p, prefix = 0, [0]  # P_0 .. P_{m+1}, with m = min(top, nmax - j)
+        for xa in x[:min(top, nmax - j) + 1]:
+            p = t * p + xa
+            prefix.append(p)
+        if kind == "compacted":
+            x = [up - j * down for up, down in zip(prefix[2:], prefix)]
+        else:
+            x = prefix[2:]
         counts.append(x[0])
     return counts

@@ -131,6 +131,11 @@ _TOKEN = re.compile(r"[()]|[^\s()]+")  # parens, '.', '@k' and atoms
 _POINTER = re.compile(r"@(0|[1-9][0-9]*)")  # ASCII digits, no leading zero
 
 
+def _tokens(text: str) -> list[str]:
+    """``_TOKEN.findall(text)``, faster: its ``\\s`` is ``str.split``'s blank."""
+    return text.replace("(", " ( ").replace(")", " ) ").split()
+
+
 def _read(text: str, atom, node, labeled: bool):
     """Read one form of the shared grammar with an explicit stack.
 
@@ -141,7 +146,7 @@ def _read(text: str, atom, node, labeled: bool):
     seen in text order.  With ``labeled``, an atom right after '(' other
     than '.' or '@i' is the node's label.
     """
-    tokens = _TOKEN.findall(text)
+    tokens = _tokens(text)
     end = len(tokens)
 
     def error(message: str, at: int) -> ParseError:

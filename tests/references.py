@@ -11,10 +11,11 @@ from mpmath import mp, mpf
 
 from compacta import operators
 from compacta.asympt import WORK_PREC, scaled_ratio_log, singularity_data
+from compacta.compaction import UidTable
 from compacta.dfinite import EXACT, IntegralityError, iter_counts, seed
 from compacta.operators import DiffOperator
 from compacta.poly import ONE, Z, IntPoly, extend_family
-from compacta.trees import SpineTree
+from compacta.trees import RelaxedDag, SpineTree, _read, dag_to_text
 
 
 def postorder_nodes(spine: SpineTree | None) -> list[SpineTree]:
@@ -360,3 +361,49 @@ def dense_level_counts(kind: str, nmax: int, size: int) -> list[int]:
         x = [sum(row[b] * x[b] for b in range(size)) for row in matrix]
         counts.append(x[0])
     return counts
+
+
+def object_compact(text: str) -> tuple[str, UidTable]:
+    """``compaction.uid_compact`` as it was before it wrote the DAG text
+    itself: a ``SpineTree`` node per first occurrence and an (owner, side)
+    pointer dict, a ``RelaxedDag`` printed by ``dag_to_text``.  Same value
+    numbering, keyed by (label, left value number, right value number)."""
+    vn: dict = {}
+    heights = [-1]  # by value number; the empty tree has value number 0
+    pointers: dict[tuple[int, str], int] = {}
+    # a subtree reads as (value number, spine node); the spine node is None
+    # unless this occurrence is the first, and False for the leaf slot,
+    # which is empty but takes no pointer
+    empty = (0, None)
+    leaf_slot = [(0, False)]  # taken by the first atom read
+
+    def node(left, right, label):
+        left_number, left_spine = left
+        right_number, right_spine = right
+        key = (label, left_number, right_number)
+        number = vn.get(key)
+        if number is not None:
+            return number, None
+        number = vn[key] = len(vn) + 1
+        heights.append(max(heights[left_number], heights[right_number]) + 1)
+        if left_spine is None:
+            pointers[(number, "left")] = left_number
+        if right_spine is None:
+            pointers[(number, "right")] = right_number
+        return number, SpineTree(left_spine or None, right_spine)
+
+    def atom(tok: str):
+        if tok == ")":
+            raise ValueError("unexpected ')'")
+        left = leaf_slot.pop() if leaf_slot else empty
+        return left if tok == "." else node(left, empty, tok)
+
+    _, root = _read(text, atom, node, labeled=True)
+    triples = list(vn)
+    order = sorted(range(1, len(triples) + 1), key=heights.__getitem__)
+    uid = [0] * (len(triples) + 1)
+    for rank, number in enumerate(order, start=1):
+        uid[number] = rank
+    rows = tuple(((label, uid[left], uid[right]), uid[number])
+                 for number in order for label, left, right in [triples[number - 1]])
+    return dag_to_text(RelaxedDag(root or None, pointers)), UidTable(rows)

@@ -32,7 +32,7 @@ from compacta.poly import (
     iter_family,
 )
 from compacta.recurrences import build_table
-from compacta.trees import parse_tree, print_tree
+from compacta.trees import dag_from_text, parse_tree, print_tree
 from references import (
     chebyshev_u,
     compacted_operator,
@@ -203,8 +203,8 @@ def test_criterion_10_structural_properties():
     rng = random.Random(1870)
     for _ in range(1000):
         tree = _random_tree(rng, rng.randint(0, 12))
-        dag, _ = uid_compact(tree)
-        assert unfold(dag) == tree
+        dag_text, _ = uid_compact(tree)
+        assert unfold(dag_from_text(dag_text)) == tree
 
     table = build_table("compacted", 200)
     for n in range(201):

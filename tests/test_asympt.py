@@ -222,6 +222,24 @@ def test_scaled_ratios_one_pass_in_stream_order():
     assert all(abs(u - 1) < mpf("1e-30") for _, u in scaled_ratios(data, range(1, 30)))
 
 
+@pytest.mark.parametrize("ns, message", [
+    ([], "ns must name at least one n"),
+    (set(), "ns must name at least one n"),
+    ([3, 0, 5], "n must be >= 1, got 0"),
+    (range(-2, 4), "n must be >= 1, got -2"),
+])
+def test_scaled_ratios_refuses_an_empty_or_nonpositive_index_set(ns, message, monkeypatch):
+    data = singularity_data(1, "relaxed")
+
+    def no_stream(*args):
+        raise AssertionError("seed ran before the index set was checked")
+
+    monkeypatch.setattr(asympt, "seed", no_stream)
+    with pytest.raises(ValueError) as raised:
+        scaled_ratios(data, ns)
+    assert str(raised.value) == message
+
+
 def _count_mpf_cases():
     """n!-multiples with many trailing zero bits, round-half patterns at the
     working precision's cut, and counts shorter than that precision."""

@@ -22,7 +22,13 @@ from compacta.trees import (
     spine_size,
     validate,
 )
-from references import postorder_nodes
+from references import object_compact, postorder_nodes
+
+
+def compact_dag(tree):
+    """uid_compact with its DAG text read back as a ``RelaxedDag``."""
+    dag_text, table = uid_compact(tree)
+    return dag_from_text(dag_text), table
 
 
 def is_cherry(dag, index):
@@ -44,7 +50,7 @@ EXPR = "(* (- (* x x) (* y y)) (+ (* x x) (* y y)))"
 
 
 def test_uid_table_for_shared_squares_expression():
-    dag, table = uid_compact(parse_tree(EXPR))
+    dag, table = compact_dag(parse_tree(EXPR))
     assert table.rows == (
         (("x", 0, 0), 1),
         (("y", 0, 0), 2),
@@ -61,7 +67,7 @@ def test_uid_table_for_shared_squares_expression():
 
 
 def test_single_leaf_compacts_to_nothing():
-    dag, table = uid_compact(parse_tree("."))
+    dag, table = compact_dag(parse_tree("."))
     assert dag.n == 0 and dag.spine is None
     assert table.rows == ()
 
@@ -70,23 +76,23 @@ def test_complete_tree_compacts_to_height_levels():
     level = "(. .)"
     for height in range(2, 6):
         level = f"({level} {level})"
-        dag, table = uid_compact(parse_tree(level))
+        dag, table = compact_dag(parse_tree(level))
         assert dag.n == height == len(table.rows)
 
 
 def test_size_matches_distinct_subtrees():
     t = parse_tree("(((. .) (. .)) (. .))")  # distinct: (. .), ((..)(..)), root
-    dag, table = uid_compact(t)
+    dag, table = compact_dag(t)
     assert dag.n == 3 == len(table.rows)
 
 
 def test_unfold_at_leaf():
-    dag, _ = uid_compact(parse_tree("((. .) (. .))"))
+    dag, _ = compact_dag(parse_tree("((. .) (. .))"))
     assert unfold(dag, 0) == parse_tree(".")
 
 
 def test_unfold_size_one():
-    dag, _ = uid_compact(parse_tree("(. .)"))
+    dag, _ = compact_dag(parse_tree("(. .)"))
     assert dag_to_text(dag) == "(@0 @0)"
     assert print_tree(unfold(dag)) == "(. .)"
 
@@ -105,7 +111,7 @@ def test_unfold_round_trip_random():
     rng = random.Random(20240817)
     for _ in range(300):
         t = _random_tree(rng, rng.randint(0, 12))
-        dag, _ = uid_compact(t)
+        dag, _ = compact_dag(t)
         assert validate(dag) is None
         assert unfold(dag) == t
 
@@ -114,8 +120,8 @@ def test_compaction_idempotent_through_unfold():
     rng = random.Random(7)
     for _ in range(50):
         t = _random_tree(rng, rng.randint(0, 10))
-        dag, table = uid_compact(t)
-        dag2, table2 = uid_compact(unfold(dag))
+        dag, table = compact_dag(t)
+        dag2, table2 = compact_dag(unfold(dag))
         assert table2.rows == table.rows
         assert dag_to_text(dag2) == dag_to_text(dag)
 
@@ -124,14 +130,14 @@ def test_compaction_never_grows():
     rng = random.Random(11)
     for _ in range(100):
         t = _random_tree(rng, rng.randint(0, 10))
-        dag, _ = uid_compact(t)
+        dag, _ = compact_dag(t)
         assert dag.n <= t.size
 
 
 def test_uid_compact_output_is_compacted():
     rng = random.Random(3)
     for _ in range(200):
-        dag, _ = uid_compact(_random_tree(rng, rng.randint(0, 10)))
+        dag, _ = compact_dag(_random_tree(rng, rng.randint(0, 10)))
         assert is_compacted(dag)
 
 
@@ -268,13 +274,15 @@ def test_cached_spine_shape_never_answers_for_another_spine():
 
 def _regime_tree_text(rng, size, regime):
     """Random tree text: unlabeled ("plain"), every node labeled a or b
-    ("ab"), or every node labeled uniquely ("unique")."""
+    ("ab"), every node labeled uniquely ("unique"), or each internal node
+    labeled a or b and each leaf '.' or x ("mixed")."""
     serial = 0
 
     def build(size):
         nonlocal serial
         serial += 1
-        label = {"plain": "", "ab": rng.choice("ab"), "unique": f"v{serial}"}[regime]
+        label = {"plain": "", "ab": rng.choice("ab"), "unique": f"v{serial}",
+                 "mixed": rng.choice(("a", "b") if size else (".", "x"))}[regime]
         if size == 0:
             return label or "."
         split = rng.randrange(size)
@@ -291,9 +299,14 @@ def _spine_text(depth, leg, left):
 
 
 def _same_compaction(text):
-    tree_dag, tree_table = uid_compact(parse_tree(text))
+    """The text, its spaced-out twin and its parsed tree compact to the DAG
+    text and table of the object-building reference."""
+    tree_dag, tree_table = compact_dag(parse_tree(text))
+    reference_text, reference_table = object_compact(text)
     spaced = text.replace("(", "( ").replace(")", " )\n")
-    for dag, table in (uid_compact(text), uid_compact(spaced)):
+    for dag_text, table in (uid_compact(text), uid_compact(spaced)):
+        assert (dag_text, table.rows) == (reference_text, reference_table.rows)
+        dag = dag_from_text(dag_text)
         assert table.rows == tree_table.rows
         assert dag.pointers == tree_dag.pointers
         assert dag_to_text(dag) == dag_to_text(tree_dag)
@@ -320,7 +333,7 @@ def test_text_compacts_like_its_tree_on_edge_cases(text, dag_text, pointers, row
     assert validate(dag) is None
 
 
-@pytest.mark.parametrize("regime", ["plain", "ab", "unique"])
+@pytest.mark.parametrize("regime", ["plain", "ab", "unique", "mixed"])
 def test_text_compacts_like_its_tree_on_random_trees(regime):
     rng = random.Random(f"text:{regime}")
     for _ in range(150):

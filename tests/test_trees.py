@@ -1,3 +1,4 @@
+import random
 import re
 import sys
 
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from compacta.compaction import uid_compact
 from compacta.trees import (
+    _TOKEN,
     LEAF,
     BinaryTree,
     ParseError,
@@ -16,6 +18,7 @@ from compacta.trees import (
     parse_tree,
     print_tree,
     slots,
+    _tokens,
     spine_size,
     validate,
 )
@@ -50,6 +53,25 @@ def test_parse_errors_carry_offset(bad):
     with pytest.raises(ParseError) as err:
         parse_tree(bad)
     assert err.value.offset >= 0
+
+
+def test_tokens_agree_with_the_token_pattern_on_every_code_point():
+    # every code point between atom characters, and as a whole token
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    for text in ("a".join(every), " ".join(every)):
+        assert _tokens(text) == _TOKEN.findall(text)
+    blanks = re.findall(r"\s", every)
+    assert blanks == [c for c in every if c.isspace()] and len(blanks) == 29
+
+
+def test_tokens_agree_with_the_token_pattern_on_random_texts():
+    rng = random.Random(5)
+    alphabet = "()..@@0x" + "".join(chr(c) for c in (0x20, 0x09, 0x0A, 0x0B, 0x0C, 0x0D, 0x1C,
+                                                  0x85, 0xA0, 0x2028, 0x3000, 0x200B,
+                                                  0xFEFF, 0x0660))
+    for _ in range(2000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 30)))
+        assert _tokens(text) == _TOKEN.findall(text), text
 
 
 def test_full_binary_invariant():
@@ -287,10 +309,10 @@ def test_deep_text_round_trips(leg, left):
     text = spine_text(depth, leg, left)
     tree = parse_tree(text)
     assert print_tree(tree) == text
-    dag, table = uid_compact(tree)
+    dag_text, table = uid_compact(tree)
+    dag = dag_from_text(dag_text)
     assert dag.n == len(table.rows) == depth
-    dag_text = dag_to_text(dag)
-    assert dag_to_text(dag_from_text(dag_text)) == dag_text
+    assert dag_to_text(dag) == dag_text
 
 
 def test_deep_trees_compare_hash_and_print():
