@@ -5,14 +5,21 @@ certificate), 2 usage error.  Output is deterministic for fixed flags; CSV
 is the machine format, aligned columns the human one.  Only `asymptotics`,
 `table1` and `selftest` import `asympt`, and with it mpmath, which would
 otherwise be about half of every command's start-up.
+
+One table, COMMANDS, lists each command with its handler, its help and its
+arguments, and `parse` reads a command line against it as argparse would
+(the same values, usage errors and messages; `tests/test_cli_parse.py`
+holds the two to that), without building argparse's tree of parsers, and
+its gettext lookups, on every command.
 """
 
 from __future__ import annotations
 
-import argparse
+import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import dfinite, exhaustive, recurrences
 from .compaction import uid_compact
@@ -25,56 +32,6 @@ from .trees import dag_to_text
 # (`sequence` prints Decimals, which the guard does not limit)
 if hasattr(sys, "set_int_max_str_digits"):
     sys.set_int_max_str_digits(10_000_000)
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="compacta",
-        description="Exact enumeration and asymptotics of compacted and "
-        "relaxed binary trees (hash-consed DAGs) of bounded right height.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("compact", help="hash-cons a tree file into a DAG")
-    p.add_argument("file", help="s-expression tree file")
-
-    p = sub.add_parser("enumerate", help="exhaustively generate DAGs")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-right-height", type=int, default=None)
-    p.add_argument("--kind", choices=("relaxed", "compacted"), default="relaxed")
-    p.add_argument("--count-only", action="store_true")
-    p.add_argument("--emit", metavar="FILE", default=None)
-    p.add_argument("--budget", type=int, default=None,
-                   help="object budget (default 10^8)")
-
-    p = sub.add_parser("count", help="counts from the exact tables")
-    p.add_argument("--kind", choices=("relaxed", "compacted"), required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--table", action="store_true", help="dump the full table as CSV")
-
-    p = sub.add_parser("sequence", help="stream bounded-right-height counts")
-    p.add_argument("--family", choices=("relaxed", "compacted"), required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--upto", type=int, required=True)
-    p.add_argument("--csv", action="store_true")
-
-    p = sub.add_parser("operator", help="print a family operator")
-    p.add_argument("--family", choices=("L", "M", "relaxed", "compacted"),
-                   required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--latex", action="store_true")
-
-    p = sub.add_parser("asymptotics", help="singularity data and constant fits")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--family", choices=("relaxed", "compacted"), required=True)
-    p.add_argument("--fit", action="store_true")
-    p.add_argument("--upto", type=int, default=2000)
-    p.add_argument("--emit-plot", metavar="FILE", default=None,
-                   help="write (n, u_n) pairs as CSV")
-
-    sub.add_parser("table1", help="growth/exponent table for k = 1..7")
-    sub.add_parser("selftest", help="cross-oracle consistency suite")
-    return parser
 
 
 def _cmd_compact(args) -> int:
@@ -149,10 +106,10 @@ def _cmd_operator(args) -> int:
 def _cmd_asymptotics(args) -> int:
     from . import asympt
 
-    # --upto is checked before any certificate runs; the fit and the plot
-    # are made before printing, so that a bad --emit-plot path prints nothing
-    if args.fit or args.emit_plot:
-        check_upto(args.upto, 2 if args.fit else 1)
+    # --upto is checked before any certificate runs, even where nothing
+    # reads it; the fit and the plot are made before printing, so that a
+    # bad --emit-plot path prints nothing
+    check_upto(args.upto, 2 if args.fit else 1)
     data = asympt.singularity_data(args.k, args.family)
     fit = asympt.fit_constant(data, args.upto) if args.fit else None
     if args.emit_plot:
@@ -247,23 +204,220 @@ def _cmd_selftest(args) -> int:
     return 0 if failures == 0 else 1
 
 
-_COMMANDS = {
-    "compact": _cmd_compact,
-    "enumerate": _cmd_enumerate,
-    "count": _cmd_count,
-    "sequence": _cmd_sequence,
-    "operator": _cmd_operator,
-    "asymptotics": _cmd_asymptotics,
-    "table1": _cmd_table1,
-    "selftest": _cmd_selftest,
+DESCRIPTION = ("Exact enumeration and asymptotics of compacted and relaxed binary "
+               "trees (hash-consed DAGs) of bounded right height.")
+REQUIRED = object()  # the default of an argument that must be given
+FAMILY = ("relaxed", "compacted")
+
+# command: (handler, help, arguments).  An argument is (name, kind, default,
+# help), kind one of int, str (a file), a tuple of choices and bool (a
+# switch); a name without leading dashes is the command's one positional.
+# `parse` reads this table, and the help and the usage lines are drawn from it.
+COMMANDS = {
+    "compact": (_cmd_compact, "hash-cons a tree file into a DAG", (
+        ("file", str, REQUIRED, "s-expression tree file"),)),
+    "enumerate": (_cmd_enumerate, "exhaustively generate DAGs", (
+        ("--n", int, REQUIRED, ""),
+        ("--max-right-height", int, None, ""),
+        ("--kind", FAMILY, "relaxed", ""),
+        ("--count-only", bool, False, ""),
+        ("--emit", str, None, ""),
+        ("--budget", int, None, "object budget (default 10^8)"))),
+    "count": (_cmd_count, "counts from the exact tables", (
+        ("--kind", FAMILY, REQUIRED, ""),
+        ("--n", int, REQUIRED, ""),
+        ("--table", bool, False, "dump the full table as CSV"))),
+    "sequence": (_cmd_sequence, "stream bounded-right-height counts", (
+        ("--family", FAMILY, REQUIRED, ""),
+        ("--k", int, REQUIRED, ""),
+        ("--upto", int, REQUIRED, ""),
+        ("--csv", bool, False, ""))),
+    "operator": (_cmd_operator, "print a family operator", (
+        ("--family", ("L", "M", *FAMILY), REQUIRED, ""),
+        ("--k", int, REQUIRED, ""),
+        ("--latex", bool, False, ""))),
+    "asymptotics": (_cmd_asymptotics, "singularity data and constant fits", (
+        ("--k", int, REQUIRED, ""),
+        ("--family", FAMILY, REQUIRED, ""),
+        ("--fit", bool, False, ""),
+        ("--upto", int, 2000, ""),
+        ("--emit-plot", str, None, "write (n, u_n) pairs as CSV"))),
+    "table1": (_cmd_table1, "growth/exponent table for k = 1..7", ()),
+    "selftest": (_cmd_selftest, "cross-oracle consistency suite", ()),
 }
+HELP = ("-h", "--help")
+
+
+def _dest(name: str) -> str:
+    return name.lstrip("-").replace("-", "_")
+
+
+def _invocation(arg) -> str:
+    """`--n N`, `--kind {relaxed,compacted}`, `--table` or `file`."""
+    name, kind = arg[:2]
+    if kind is bool or not name.startswith("-"):
+        return name
+    if isinstance(kind, tuple):
+        return f"{name} {{{','.join(kind)}}}"
+    return f"{name} {'FILE' if kind is str else _dest(name).upper()}"
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"compacta [-h] {{{','.join(COMMANDS)}}} ..."
+    args = COMMANDS[command][2]
+    flags = [_invocation(a) if a[2] is REQUIRED else f"[{_invocation(a)}]"
+             for a in args if a[0].startswith("-")]
+    positionals = [a[0] for a in args if not a[0].startswith("-")]
+    return " ".join(("compacta", command, "[-h]", *flags, *positionals))
+
+
+def _fail(command: str | None, message: str):
+    """A usage error, as argparse reports it: exit 2."""
+    prog = "compacta" if command is None else f"compacta {command}"
+    sys.stderr.write(f"usage: {_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _help(command: str | None, option: str, explicit: str | None):
+    """Print the help and exit 0, unless the option came with a value:
+    `-hh` is two helps; `-hx`, `-h=` and `--help=x` are usage errors."""
+    if explicit is not None:
+        rest = explicit.lstrip("h") if option == "-h" and explicit else explicit
+        if rest or not explicit:
+            _fail(command, f"argument -h/--help: ignored explicit argument {rest!r}")
+    if command is None:
+        head, rows = f"{DESCRIPTION}\n\ncommands:", [(c, v[1]) for c, v in COMMANDS.items()]
+    else:
+        head = f"{COMMANDS[command][1]}\n\narguments:"
+        rows = [(_invocation(a), a[3]) for a in COMMANDS[command][2]]
+    rows.append(("-h, --help", "show this help message and exit"))
+    width = max(len(left) for left, _ in rows)
+    print(f"usage: {_usage(command)}\n\n{head}",
+          *(f"  {left:<{width}}  {text}".rstrip() for left, text in rows), sep="\n")
+    raise SystemExit(0)
+
+
+def _read(arg: str, options, command: str | None):
+    """How argparse reads one argument against its parser's options: None
+    for a positional, else (option, the value given with it or None), with
+    option None when unknown.  A long option may be shortened to any prefix
+    that matches it alone."""
+    if not arg.startswith("-") or arg == "-":
+        return None
+    if arg in options:
+        return arg, None
+    head, eq, value = arg.partition("=")
+    if eq and head in options:
+        return head, value
+    if arg[1] == "-":
+        found = [(o, value if eq else None) for o in options if o.startswith(head)]
+    else:  # -hVALUE
+        found = [(o, arg[2:]) for o in options if o == arg[:2]]
+    if len(found) > 1:
+        _fail(command, f"ambiguous option: {arg} could match "
+                       f"{', '.join(o for o, _ in found)}")
+    if found:
+        return found[0]
+    # argparse reads a negative number, or anything with a blank, as a value
+    if re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg:
+        return None
+    return None, None
+
+
+def _parse_command(command: str, argv: list[str], values: dict) -> list[str]:
+    """Read a command's arguments into values; returns the unrecognized ones.
+
+    Every argument after the first `--` is a positional one.  That `--` is
+    dropped next to the command's positional argument, and is unrecognized
+    anywhere else.
+    """
+    args = COMMANDS[command][2]
+    options = dict.fromkeys(HELP) | {a[0]: a[1] for a in args if a[0].startswith("-")}
+    positional = next((a[0] for a in args if not a[0].startswith("-")), None)
+    end = argv.index("--") if "--" in argv else len(argv)
+    read = [_read(arg, options, command) for arg in argv[:end]] + [None] * (len(argv) - end)
+    seen, extras = set(), []
+    i = 0
+    while i < len(argv):
+        if read[i] is None:
+            j = i + (i == end)  # the positional's value, past a leading `--`
+            if positional is not None and positional not in seen and j < len(argv):
+                values[positional] = argv[j]
+                seen.add(positional)
+                i = j + 1 + (j + 1 == end)  # and past a trailing one
+            else:
+                extras.append(argv[i])
+                i += 1
+            continue
+        option, value = read[i]
+        kind = options.get(option)
+        if option is None:
+            extras.append(argv[i])
+        elif option in HELP:
+            _help(command, option, value)
+        elif kind is bool:
+            if value is not None:
+                _fail(command, f"argument {option}: ignored explicit argument {value!r}")
+            values[_dest(option)] = True
+        else:
+            if value is None:
+                if i + 1 in (len(argv), end) or read[i + 1] is not None:
+                    _fail(command, f"argument {option}: expected one argument")
+                i += 1
+                value = argv[i]
+            if isinstance(kind, tuple) and value not in kind:
+                _fail(command, f"argument {option}: invalid choice: {value!r} "
+                               f"(choose from {', '.join(map(repr, kind))})")
+            if kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    _fail(command, f"argument {option}: invalid int value: {value!r}")
+            values[_dest(option)] = value
+        seen.add(option)
+        i += 1
+    missing = [a[0] for a in args if a[2] is REQUIRED and a[0] not in seen]
+    if missing:
+        _fail(command, f"the following arguments are required: {', '.join(missing)}")
+    return extras
+
+
+def parse(argv: list[str]) -> SimpleNamespace:
+    """The arguments of a command line, read as argparse reads them with one
+    subparser per command of COMMANDS: the same values, and the same usage
+    errors, exit 2, with the same messages.  -h or --help prints the help
+    and exits 0."""
+    extras = []
+    for i, arg in enumerate(argv):
+        read = None if arg == "--" else _read(arg, HELP, None)
+        if read is None:
+            break
+        if read[0] is None:
+            extras.append(arg)
+        else:
+            _help(None, *read)
+    else:
+        i = len(argv)
+    if argv[i:] in ([], ["--"]):  # a `--` needs a command after it
+        _fail(None, "the following arguments are required: command")
+    command = argv[i]
+    if command not in COMMANDS:
+        _fail(None, f"argument command: invalid choice: {command!r} "
+                    f"(choose from {', '.join(map(repr, COMMANDS))})")
+    values = {"command": command}
+    values.update((_dest(name), None if default is REQUIRED else default)
+                  for name, _, default, _ in COMMANDS[command][2])
+    extras += _parse_command(command, argv[i + 1:], values)
+    if extras:
+        _fail(None, f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**values)
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parse(sys.argv[1:] if argv is None else list(argv))
     try:
-        return _COMMANDS[args.command](args)
+        return COMMANDS[args.command][0](args)
     except (BudgetExceededError, dfinite.IntegralityError, dfinite.CertificationError,
             ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

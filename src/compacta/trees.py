@@ -230,6 +230,10 @@ def _tree_parts(t: BinaryTree):
         or (t.left is not None and label.startswith("@"))
     ):
         raise ValueError(f"label {label!r} would not read back as itself")
+    left = t.left
+    if label is None and left is not None and left.left is None and left.label is not None:
+        # `(x r)` reads as a node labeled x
+        raise ValueError(f"label {left.label!r} would not read back as itself")
     return _parts(t)
 
 
@@ -244,7 +248,8 @@ def _parts(t: BinaryTree):
 def print_tree(t: BinaryTree) -> str:
     """Text of ``t`` in the tree grammar.  Raises ValueError naming a label
     that would not read back as itself: a label is one token without blanks
-    or parentheses other than '.', and a node label does not start with '@'.
+    or parentheses other than '.', a node label does not start with '@', and
+    a labeled leaf is not the left child of an unlabeled node.
     """
     return _print(t, _tree_parts)
 

@@ -4,6 +4,7 @@ Each one is an independent way to compute or compare what the package
 computes; none has a caller in the package itself.
 """
 
+import argparse
 from dataclasses import dataclass
 from decimal import localcontext
 
@@ -407,3 +408,55 @@ def object_compact(text: str) -> tuple[str, UidTable]:
     rows = tuple(((label, uid[left], uid[right]), uid[number])
                  for number in order for label, left, right in [triples[number - 1]])
     return dag_to_text(RelaxedDag(root or None, pointers)), UidTable(rows)
+
+
+def build_argparse_parser() -> argparse.ArgumentParser:
+    """The argparse tree `compacta.cli` was built on, kept as the oracle of
+    its table-driven parser: the same values, usage errors and messages."""
+    parser = argparse.ArgumentParser(
+        prog="compacta",
+        description="Exact enumeration and asymptotics of compacted and "
+        "relaxed binary trees (hash-consed DAGs) of bounded right height.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("compact", help="hash-cons a tree file into a DAG")
+    p.add_argument("file", help="s-expression tree file")
+
+    p = sub.add_parser("enumerate", help="exhaustively generate DAGs")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--max-right-height", type=int, default=None)
+    p.add_argument("--kind", choices=("relaxed", "compacted"), default="relaxed")
+    p.add_argument("--count-only", action="store_true")
+    p.add_argument("--emit", metavar="FILE", default=None)
+    p.add_argument("--budget", type=int, default=None,
+                   help="object budget (default 10^8)")
+
+    p = sub.add_parser("count", help="counts from the exact tables")
+    p.add_argument("--kind", choices=("relaxed", "compacted"), required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--table", action="store_true", help="dump the full table as CSV")
+
+    p = sub.add_parser("sequence", help="stream bounded-right-height counts")
+    p.add_argument("--family", choices=("relaxed", "compacted"), required=True)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--upto", type=int, required=True)
+    p.add_argument("--csv", action="store_true")
+
+    p = sub.add_parser("operator", help="print a family operator")
+    p.add_argument("--family", choices=("L", "M", "relaxed", "compacted"),
+                   required=True)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--latex", action="store_true")
+
+    p = sub.add_parser("asymptotics", help="singularity data and constant fits")
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--family", choices=("relaxed", "compacted"), required=True)
+    p.add_argument("--fit", action="store_true")
+    p.add_argument("--upto", type=int, default=2000)
+    p.add_argument("--emit-plot", metavar="FILE", default=None,
+                   help="write (n, u_n) pairs as CSV")
+
+    sub.add_parser("table1", help="growth/exponent table for k = 1..7")
+    sub.add_parser("selftest", help="cross-oracle consistency suite")
+    return parser

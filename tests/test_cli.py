@@ -536,6 +536,8 @@ def test_fit_with_a_bad_upto_prints_nothing(upto, capsys):
       "--emit-plot", "PLOT"], "upto must be >= 2, got 1"),
     (["sequence", "--family", "relaxed", "--k", "2", "--upto", "-2"],
      "upto must be >= 0, got -2"),
+    (["asymptotics", "--family", "relaxed", "--k", "1", "--upto", "-5"],
+     "upto must be >= 1, got -5"),
 ])
 def test_upto_has_one_check_before_any_certificate(argv, message, monkeypatch,
                                                    tmp_path, capsys):

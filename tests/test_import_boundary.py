@@ -1,9 +1,12 @@
-"""mpmath loads only for `asymptotics`, `table1` and `selftest`.
+"""mpmath loads only for `asymptotics`, `table1` and `selftest`, and
+argparse (with gettext and locale) never.
 
 `asympt` is the one module that imports mpmath, and nothing imports
 `asympt` at module level: the package serves its names on first use and
 the CLI imports it inside the three commands.  The exact side (counts,
-tables, streams, `compact`, `enumerate`) starts without it.
+tables, streams, `compact`, `enumerate`) starts without it.  The CLI reads
+its command line with its own table-driven parser, so no module of the
+package imports argparse.
 """
 
 import ast
@@ -25,7 +28,9 @@ CHILD = """
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
 import compacta.cli as cli
-report = {"after import": "mpmath" in sys.modules}
+def loaded():
+    return [m for m in ("mpmath", "argparse", "gettext", "locale") if m in sys.modules]
+report = {"after import": loaded()}
 for argv in (["count", "--kind", "compacted", "--n", "30"],
              ["sequence", "--family", "compacted", "--k", "3", "--upto", "40"],
              ["operator", "--family", "M", "--k", "4"],
@@ -33,12 +38,12 @@ for argv in (["count", "--kind", "compacted", "--n", "30"],
              ["compact", sys.argv[2]]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.run(argv)
-    report[argv[0]] = [code, "mpmath" in sys.modules]
+    report[argv[0]] = [code, loaded()]
 with contextlib.redirect_stdout(io.StringIO()) as out:
     code = cli.run(["asymptotics", "--k", "1", "--family", "relaxed"])
 import compacta, compacta.asympt, compacta.dfinite
 from compacta import CertificationError
-report["asymptotics"] = [code, "mpmath" in sys.modules, out.getvalue()]
+report["asymptotics"] = [code, loaded(), out.getvalue()]
 report["lazy names"] = compacta.singularity_data is compacta.asympt.singularity_data
 report["one class"] = (CertificationError is compacta.asympt.CertificationError
                        is compacta.dfinite.CertificationError)
@@ -53,13 +58,13 @@ def test_exact_commands_never_load_mpmath(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout)
-    assert report.pop("after import") is False
+    assert report.pop("after import") == []
     code, loaded, out = report.pop("asymptotics")
-    assert (code, loaded) == (0, True)
+    assert (code, loaded) == (0, ["mpmath"])
     assert out.startswith("k: 1\nfamily: relaxed\n")
     assert report.pop("lazy names") is True
     assert report.pop("one class") is True
-    assert report == {command: [0, False]
+    assert report == {command: [0, []]
                       for command in ("count", "sequence", "operator", "enumerate", "compact")}
 
 
@@ -109,6 +114,8 @@ def boundary_violations(name: str, source: str) -> list[str]:
         found.append(f"{name} imports mpmath")
     if f"{PACKAGE}.asympt" in _imported(_module_level(tree)):
         found.append(f"{name} imports asympt at module level")
+    if any(m == "argparse" or m.startswith("argparse.") for m in _imported(ast.walk(tree))):
+        found.append(f"{name} imports argparse")
     return found
 
 
@@ -130,6 +137,9 @@ def test_only_asympt_imports_mpmath_and_nothing_imports_asympt_eagerly():
     ("dfinite.py", "def f():\n    import mpmath\n"),
     ("dfinite.py", "from mpmath import mp\n"),
     ("dfinite.py", "import mpmath.libmp\n"),
+    ("cli.py", "import argparse\n"),
+    ("cli.py", "def run():\n    from argparse import ArgumentParser\n"),
+    ("asympt.py", "import sys, argparse\n"),
 ])
 def test_the_guard_sees_each_form_of_the_import(name, source):
     assert boundary_violations(name, source) != []

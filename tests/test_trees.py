@@ -97,6 +97,9 @@ def test_print_parse_round_trip(t):
     (BinaryTree(LEAF, LEAF, "(x"), "(x"),
     (BinaryTree(LEAF, LEAF, "@1"), "@1"),
     (BinaryTree(label=""), ""),
+    # `(x .)` would read back as a node labeled x
+    (BinaryTree(BinaryTree(label="x"), LEAF), "x"),
+    (BinaryTree(LEAF, BinaryTree(BinaryTree(label="y"), BinaryTree(label="z"))), "y"),
 ])
 def test_print_rejects_labels_that_do_not_read_back(tree, label):
     for write in (print_tree, uid_compact):
